@@ -21,6 +21,7 @@ for the workloads and what each metric should move.
 from __future__ import annotations
 
 import argparse
+import collections
 import compileall
 import itertools
 import json
@@ -81,6 +82,10 @@ class Workload:
         """(wrong timed answers, problems) beyond the oracle's."""
         return 0, []
 
+    def window_info(self, phase: dict) -> dict:
+        """What the window covered, for the info line."""
+        return {}
+
     def streams(self, traced: bool) -> tuple[list, list]:
         """Per connection: the request iterator and the list it records
         ``(kind, body)`` of every request into, in sending order."""
@@ -108,8 +113,9 @@ class DistinctBodies(Workload):
         self.setup_fn, self.stream_fn = setup_fn, stream_fn
         self.setup_seen: set = set()
         self.setup = setup_fn(seed, self.setup_seen)
-        #: Bodies generated before the window opens; more are made on
-        #: demand, so a faster server never runs out.
+        #: Bodies generated before the window opens, several times what
+        #: today's server answers; past them, bodies are made between
+        #: requests and the client's time counts against the server.
         self.prefetch = int(seconds * prefetch_per_s)
 
     def setup_items(self):
@@ -122,7 +128,7 @@ class DistinctBodies(Workload):
     def self_check(self):
         again_seen: set = set()
         again = self.setup_fn(self.seed, again_seen)
-        first = list(itertools.islice(self.timed_items(0), 200))
+        first = list(itertools.islice(self.stream_fn(self.seed, set(self.setup_seen)), 200))
         second = list(itertools.islice(self.stream_fn(self.seed, again_seen), 200))
         if again != self.setup or first != second:
             return [f"{self.name}: the same seed gave different bodies"]
@@ -133,6 +139,10 @@ class DistinctBodies(Workload):
         if len(set(bodies)) != len(bodies) or not self.setup_seen.isdisjoint(bodies):
             return 0, [f"{self.name}: a body was sent twice"]
         return 0, []
+
+    def window_info(self, phase):
+        return {"prefetched_bodies": self.prefetch,
+                "prefetch_ran_out": len(phase["samples"]) > self.prefetch}
 
 
 class WarmRepeat(Workload):
@@ -232,14 +242,22 @@ class ColdStorm(Workload):
             problems.append("cold_storm: the same seed gave different bodies")
         return problems
 
+    def window_info(self, phase):
+        """Structures solved in the window, and the classes of those the
+        first connection finished (a shift in the mix shows here)."""
+        timed = [self.structures[s.index] for s in phase["per_conn"][0]]
+        classes = collections.Counter(f"{s.depth}x{len(s.supports)}" for s in timed)
+        return {"structures_solved": phase["health"]["structure_solves"],
+                "classes_timed": dict(sorted(classes.items()))}
+
 
 def make_workload(name: str, seed: int, seconds: float) -> Workload:
     if name == "warm_novel":
         return DistinctBodies(name, seed, seconds, workloads.warm_novel_setup,
-                              workloads.warm_novel_stream, prefetch_per_s=1000)
+                              workloads.warm_novel_stream, prefetch_per_s=5000)
     if name == "tune_sim":
         return DistinctBodies(name, seed, seconds, workloads.tune_sim_setup,
-                              workloads.tune_sim_stream, prefetch_per_s=200)
+                              workloads.tune_sim_stream, prefetch_per_s=300)
     return {"warm_repeat": WarmRepeat, "cold_storm": ColdStorm}[name](name, seed, seconds)
 
 
@@ -286,6 +304,7 @@ def timed_phase(workload: Workload, srv: server.Server, traced: bool) -> dict:
     samples = [s for conn_samples in per_conn for s in conn_samples]
     return {
         "samples": samples,
+        "per_conn": per_conn,
         "rows": rows,
         "rps": window_rate(samples, start, workload.seconds),
         "health": layers.health_delta(before, after),
@@ -365,12 +384,14 @@ def run_workload(workload: Workload, trace: int, bench: dict) -> dict:
         values = {
             "throughput_rps": phase["rps"],
             "latency_p50_ms": layers.percentile(latencies, 0.5),
+            "latency_p90_ms": layers.percentile(latencies, 0.9),
             "kind_p50_geomean_ms": math.exp(
                 statistics.fmean(math.log(v) for v in kinds.values())),
             "setup_s": statistics.median(setups),
             "server_peak_rss_mb": phase["rss_mb"],
         }
-        info = {"setup_s_runs": setups, "samples": len(latencies), "kind_p50_ms": kinds}
+        info = {"setup_s_runs": setups, "samples": len(latencies), "kind_p50_ms": kinds,
+                **workload.window_info(phase)}
         attempted = len(latencies)
         names = bench["end_to_end"]
     else:
@@ -403,12 +424,11 @@ def run_workload(workload: Workload, trace: int, bench: dict) -> dict:
         latencies = [s.latency_s * 1e3 for s in plain["samples"]]
         for kind in ("analyze", "program", "distributed", "simulate", "tune", "hierarchy"):
             values[f"{kind}_p50_ms"] = kinds.get(kind, 0.0)
-        values["latency_p90_ms"] = layers.percentile(latencies, 0.9)
         values["latency_p99_ms"] = layers.percentile(latencies, 0.99)
         attempted = len(plain["samples"]) + len(traced["samples"])
         values["failed_share"] = wrong / attempted if attempted else 0.0
         info = {"samples": len(latencies), "traced_samples": len(traced["samples"]),
-                "spans": len(spans)}
+                "spans": len(spans), **workload.window_info(plain)}
         names = bench["per_layer"]
     metrics = {}
     for entry in names:

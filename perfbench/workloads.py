@@ -3,6 +3,8 @@
 Every generator is a pure function of its seed: it yields ``(kind,
 route, body_bytes)`` with bodies as compact, key-sorted JSON, so the same
 seed gives byte-identical traffic.  The server only ever sees the bytes.
+Request kinds follow fixed rounds (``_pattern``), so the seed picks the
+bodies but not the mix.
 
 * ``warm_novel``  — distinct analyze/program/distributed bodies over
   catalog problems whose structures set-up has warmed.
@@ -150,14 +152,38 @@ def distributed_body(rng: random.Random) -> dict:
     }
 
 
-def _distinct(draw, seen: set):
-    """Yield ``draw()`` results whose bytes were never yielded before."""
-    while True:
-        kind, body = draw()
-        raw = encode(body)
-        if raw not in seen:
-            seen.add(raw)
-            yield kind, ROUTES[kind], raw
+def _pattern(shares: dict[str, int]) -> list[str]:
+    """One round of request kinds: each kind ``shares[kind]`` times,
+    spread evenly (smooth weighted round-robin), so every stretch of a
+    window holds the kinds in close to their stated shares."""
+    current = dict.fromkeys(shares, 0)
+    total = sum(shares.values())
+    order = []
+    for _ in range(total):
+        for kind, weight in shares.items():
+            current[kind] += weight
+        best = max(current, key=lambda kind: current[kind])
+        current[best] -= total
+        order.append(best)
+    return order
+
+
+def _distinct_pattern(shares: dict[str, int], draw, seen: set):
+    """Distinct bodies whose kinds repeat ``_pattern(shares)``;
+    ``draw(kind)`` makes one body of the kind."""
+    for kind in itertools.cycle(_pattern(shares)):
+        while True:
+            raw = encode(draw(kind))
+            if raw not in seen:
+                seen.add(raw)
+                yield kind, ROUTES[kind], raw
+                break
+
+
+#: Kinds per round of warm_novel traffic: the ~70/20/10 analyze/program/
+#: distributed mix the workload is defined by.
+NOVEL_SHARES = {"analyze": 7, "program": 2, "distributed": 1}
+_NOVEL_BODY = {"analyze": analyze_body, "program": program_body, "distributed": distributed_body}
 
 
 def warm_novel_setup(seed: int, seen: set, sample: int = 200) -> list:
@@ -171,40 +197,35 @@ def warm_novel_setup(seed: int, seen: set, sample: int = 200) -> list:
         raw = encode(body)
         seen.add(raw)
         out.append((kind, ROUTES[kind], raw))
-    out += itertools.islice(_distinct(lambda: _novel_draw(rng), seen), sample)
+    out += itertools.islice(warm_novel_stream(seed, seen, rng), sample)
     return out
 
 
-def _novel_draw(rng: random.Random) -> tuple[str, dict]:
-    roll = rng.random()
-    if roll < 0.7:
-        return "analyze", analyze_body(rng)
-    if roll < 0.9:
-        return "program", program_body(rng)
-    return "distributed", distributed_body(rng)
-
-
-def warm_novel_stream(seed: int, seen: set):
-    rng = random.Random(f"warm_novel/timed/{seed}")
-    return _distinct(lambda: _novel_draw(rng), seen)
+def warm_novel_stream(seed: int, seen: set, rng: random.Random | None = None):
+    rng = rng or random.Random(f"warm_novel/timed/{seed}")
+    return _distinct_pattern(NOVEL_SHARES, lambda kind: _NOVEL_BODY[kind](rng), seen)
 
 
 # -- warm_repeat ------------------------------------------------------------------
 
+#: The pool keeps warm_novel's analyze:program ratio (7:2); distributed
+#: bodies are left out, as the workload is defined over analyze and program.
+REPEAT_SHARES = {"analyze": NOVEL_SHARES["analyze"], "program": NOVEL_SHARES["program"]}
+#: Zipf's law in its classic form (weight 1/rank).  Every pool body is in
+#: the response cache, so the exponent decides no hit or miss; it only
+#: sets how often the hottest bodies repeat.
+ZIPF_EXPONENT = 1.0
+
 
 def repeat_pool(seed: int) -> list:
-    """<= 512 distinct analyze (80%) and program (20%) bodies."""
+    """<= 512 distinct analyze and program bodies in REPEAT_SHARES."""
     rng = random.Random(f"warm_repeat/pool/{seed}")
-
-    def draw():
-        if rng.random() < 0.8:
-            return "analyze", analyze_body(rng)
-        return "program", program_body(rng)
-
-    return list(itertools.islice(_distinct(draw, set()), REPEAT_POOL_SIZE))
+    draw = {"analyze": analyze_body, "program": program_body}
+    stream = _distinct_pattern(REPEAT_SHARES, lambda kind: draw[kind](rng), set())
+    return list(itertools.islice(stream, REPEAT_POOL_SIZE))
 
 
-def zipf_indices(seed: int, size: int, exponent: float = 1.0):
+def zipf_indices(seed: int, size: int, exponent: float = ZIPF_EXPONENT):
     """Endless Zipf-skewed pool indices (rank 0 is the hottest body)."""
     rng = random.Random(f"warm_repeat/zipf/{seed}")
     weights = list(itertools.accumulate(1.0 / (rank + 1) ** exponent for rank in range(size)))
@@ -215,110 +236,111 @@ def zipf_indices(seed: int, size: int, exponent: float = 1.0):
 
 # -- tune_sim -------------------------------------------------------------------
 
-#: Small nests whose traces stay cheap to simulate (and to re-check with
-#: the reference engine): sizes are redrawn until the trace length falls
-#: in TRACE_RANGE.
+#: Small nests, as the repository's own tuning benchmarks size them
+#: (``benchmarks/bench_tune.py`` and ``bench_hierarchy_service.py``): their
+#: catalog cases span nbody 40x40 (4 800 trace accesses) to matmul 24^3
+#: (41 472).  Sizes are redrawn until the trace length falls in that span.
 TUNE_PROBLEMS = {
     "matmul": 3, "mttkrp": 4, "syrk": 2, "nbody": 2, "batched_matmul": 4,
     "jacobi2d": 3, "matvec": 2, "fully_connected": 3,
 }
-TRACE_RANGE = (15_000, 40_000)
+TRACE_RANGE = (4_800, 41_472)
+#: A small budget is at most the 8 tiles the CLI's ``--smoke`` mode clamps
+#: ``tune`` and ``hierarchy`` to; the seed tile plus at least one more.
+BUDGET_RANGE = (2, 8)
+#: Kinds per round of tune_sim traffic, so that each kind takes about a
+#: third of the server's time: a kind's count is the slowest kind's p50
+#: over its own, rounded.  With the medians of ten seeds' p50s on this
+#: generator on a 2-core x86 VM (simulate 2.9 ms, tune 17.6 ms,
+#: hierarchy 28.3 ms) that is 9.7, 1.6 and 1 -> 10, 2, 1.
+TUNE_SIM_SHARES = {"simulate": 10, "tune": 2, "hierarchy": 1}
+#: Successive bodies of one kind walk these trace-length bins (log-spaced
+#: over TRACE_RANGE) and the budgets in turn, 4 x 7 = 28 combinations, so
+#: every window holds the same spread of work whatever the seed; the
+#: seed picks the problem, the sizes inside the bin and the caches.
+TRACE_BINS = 4
 
 
-def _small_nest(rng: random.Random, problem: str | None = None) -> tuple[str, list]:
+def _trace_bin(slot: int) -> tuple[float, float]:
+    lo, hi = TRACE_RANGE
+    step = (hi / lo) ** (1 / TRACE_BINS)
+    index = slot % TRACE_BINS
+    return lo * step ** index, lo * step ** (index + 1)
+
+
+def _small_nest(rng: random.Random, problem: str | None, trace_bin) -> tuple[str, list]:
     problem = problem or rng.choice(sorted(TUNE_PROBLEMS))
     while True:
         sizes = _sizes(rng, TUNE_PROBLEMS[problem], 4, 256)
-        if TRACE_RANGE[0] <= trace_length(build_problem(problem, sizes)) <= TRACE_RANGE[1]:
+        if trace_bin[0] <= trace_length(build_problem(problem, sizes)) <= trace_bin[1]:
             return problem, sizes
 
 
-def tune_sim_draw(rng: random.Random, problem: str | None = None, kind: str | None = None):
-    problem, sizes = _small_nest(rng, problem)
-    if kind is None:
-        roll = rng.random()
-        kind = "simulate" if roll < 0.7 else "hierarchy" if roll < 0.8 else "tune"
+def tune_sim_body(rng: random.Random, kind: str, slot: int, problem: str | None = None) -> dict:
+    """Body ``slot`` of ``kind``.  Cache sizes follow the same benchmarks:
+    32-256 words for one level; two levels 16-64 words apart by 4x or 8x."""
+    problem, sizes = _small_nest(rng, problem, _trace_bin(slot))
+    budget = BUDGET_RANGE[0] + slot % (BUDGET_RANGE[1] - BUDGET_RANGE[0] + 1)
     if kind == "simulate":
-        body = {"problem": problem, "sizes": sizes, "cache_words": _cache_words(rng, 6, 10)}
-    elif kind == "tune":
-        body = {
-            "problem": problem, "sizes": sizes, "cache_words": _cache_words(rng, 6, 9),
-            "max_evaluations": rng.randint(4, 6),
-        }
-    else:
-        inner = _cache_words(rng, 6, 8)
-        body = {
-            "problem": problem, "sizes": sizes,
-            "capacities": [inner, inner << rng.randint(2, 3)],
-            "tune_budget": rng.randint(2, 3),
-        }
-    return kind, body
+        return {"problem": problem, "sizes": sizes, "cache_words": _cache_words(rng, 5, 8)}
+    if kind == "tune":
+        return {"problem": problem, "sizes": sizes, "cache_words": _cache_words(rng, 5, 8),
+                "max_evaluations": budget}
+    inner = _cache_words(rng, 4, 6)
+    return {"problem": problem, "sizes": sizes,
+            "capacities": [inner, inner << rng.randint(2, 3)], "tune_budget": budget}
 
 
-def tune_sim_setup(seed: int, seen: set, sample: int = 12) -> list:
+def tune_sim_setup(seed: int, seen: set, sample: int = 24) -> list:
     """Each problem once per kind (warms structures), then a sample."""
     rng = random.Random(f"tune_sim/setup/{seed}")
-    fixed = [
-        tune_sim_draw(rng, problem, kind)
-        for problem in sorted(TUNE_PROBLEMS) for kind in ("simulate", "tune", "hierarchy")
-    ]
     out = []
-    for kind, body in fixed:
-        raw = encode(body)
-        seen.add(raw)
-        out.append((kind, ROUTES[kind], raw))
-    out += itertools.islice(_distinct(lambda: tune_sim_draw(rng), seen), sample)
+    for slot, problem in enumerate(sorted(TUNE_PROBLEMS)):
+        for kind in TUNE_SIM_SHARES:
+            raw = encode(tune_sim_body(rng, kind, slot, problem))
+            seen.add(raw)
+            out.append((kind, ROUTES[kind], raw))
+    out += itertools.islice(tune_sim_stream(seed, seen, rng), sample)
     return out
 
 
-def tune_sim_stream(seed: int, seen: set):
-    rng = random.Random(f"tune_sim/timed/{seed}")
-    return _distinct(lambda: tune_sim_draw(rng), seen)
+def tune_sim_stream(seed: int, seen: set, rng: random.Random | None = None):
+    rng = rng or random.Random(f"tune_sim/timed/{seed}")
+    slots = dict.fromkeys(TUNE_SIM_SHARES, 0)
+
+    def draw(kind: str) -> dict:
+        slots[kind] += 1
+        return tune_sim_body(rng, kind, slots[kind])
+
+    return _distinct_pattern(TUNE_SIM_SHARES, draw, seen)
 
 
 # -- cold_storm -----------------------------------------------------------------
 
-#: (depth, arrays) classes and their slots per 199-step cycle.  Every
-#: depth from 3 to 6 and every array count from 2 to 5 is represented.
-#: Slots follow class size.  Counting scalar arrays, (6, 2) has only 16
-#: canonical structures and (3, 5) 156, while (4, 5) has 863
-#: and (6, 5) many thousands; small classes get few slots so that the
-#: sequence never runs out of unseen structures (``cold_structures``
-#: checks this on every run).
-COLD_CLASSES = {
-    (4, 5): 50, (5, 4): 32, (5, 5): 30, (4, 4): 20, (6, 3): 16, (3, 5): 12, (6, 4): 12,
-    (5, 3): 8, (6, 5): 8, (3, 4): 4, (4, 3): 4, (6, 2): 1,
-}
-#: Cold solve seconds per class on a 2-core x86 machine, measured before
+#: One round of (depth, arrays) classes; the timed sequence repeats it.
+#: A round takes about a third of a 15 s window today, so any window
+#: holds every class about equally often, and a faster solver times more
+#: rounds of the same mix rather than other classes.  The costly class
+#: sits between the two cheap ones, so a window cut anywhere in a round
+#: is off its share by under one structure.  Each class must hold
+#: COLD_HEADROOM x (structures per window) / 3 unseen structures, about
+#: 300: counting scalar arrays, (4, 5) has 863, (5, 4) 716 and (6, 4)
+#: thousands, while every depth-3 class, (4, 3), (4, 4), (5, 3), (6, 2)
+#: and (6, 3) have under 230 and are left out.  (5, 5) and (6, 5) have
+#: enough but would lengthen the round by 1.8 s and 6.5 s.
+COLD_ROUND = ((4, 5), (6, 4), (5, 4))
+#: Median cold solve seconds per class on a 2-core x86 VM, measured before
 #: any solver speed-up; used only to size the headroom check below.
-COLD_SOLVE_S = {
-    (4, 5): 0.45, (5, 4): 0.75, (5, 5): 1.4, (4, 4): 0.16, (6, 3): 1.3, (3, 5): 0.13,
-    (6, 4): 3.1, (5, 3): 0.38, (6, 5): 5.5, (3, 4): 0.07, (4, 3): 0.1, (6, 2): 0.5,
-}
+COLD_SOLVE_S = {(4, 5): 0.30, (6, 4): 4.0, (5, 4): 0.82}
 #: The sequence must last this many times longer than today's server needs.
 COLD_HEADROOM = 100
 COLD_WARMUP_STRUCTURES = 2
 
 
-def _class_cycle() -> list[tuple[int, int]]:
-    """Smooth weighted round-robin over COLD_CLASSES (deterministic)."""
-    current = {cls: 0 for cls in COLD_CLASSES}
-    total = sum(COLD_CLASSES.values())
-    order = []
-    for _ in range(total):
-        for cls, weight in COLD_CLASSES.items():
-            current[cls] += weight
-        best = max(current, key=lambda cls: (current[cls], cls))
-        current[best] -= total
-        order.append(best)
-    return order
-
-
 def cold_steps_needed(seconds: float) -> int:
     """Structures a run would consume if solves were COLD_HEADROOM x faster."""
-    cycle = _class_cycle()
-    mean_s = sum(COLD_SOLVE_S[cls] for cls in cycle) / len(cycle)
-    return math.ceil(COLD_HEADROOM * seconds / mean_s)
+    round_s = sum(COLD_SOLVE_S[cls] for cls in COLD_ROUND)
+    return math.ceil(COLD_HEADROOM * seconds / round_s * len(COLD_ROUND))
 
 
 def _random_supports(rng: random.Random, depth: int, arrays: int) -> list[tuple[int, ...]]:
@@ -366,19 +388,18 @@ def _draw_unseen(rng: random.Random, depth: int, arrays: int, seen: set[str]) ->
 def cold_structures(count: int) -> tuple[list[ColdStructure], list[ColdStructure]]:
     """(``count`` timed structures, set-up structures), all keys distinct.
 
-    Set-up uses a cheap class; the timed sequence follows the class
-    cycle.  The structures do not depend on the run's seed: solve times
-    differ by up to 2x within a class and a run solves only about ten
-    structures, so drawing them per seed would let the seed, not the
-    code, set the figures.  The seed picks bounds and cache sizes
+    Set-up uses a cheap class outside the round; the timed sequence
+    repeats COLD_ROUND.  The structures do not depend on the run's seed:
+    solve times differ by up to 2x within a class and a run solves only
+    about ten structures, so drawing them per seed would let the seed,
+    not the code, set the figures.  The seed picks bounds and cache sizes
     (``cold_streams``).  Raises :class:`ClassExhausted` when a class
     cannot supply another unseen structure.
     """
     rng = random.Random("cold_storm/structures")
     seen: set[str] = set()
     setup = [_draw_unseen(rng, 4, 4, seen) for _ in range(COLD_WARMUP_STRUCTURES)]
-    cycle = _class_cycle()
-    timed = [_draw_unseen(rng, *cycle[step % len(cycle)], seen) for step in range(count)]
+    timed = [_draw_unseen(rng, *COLD_ROUND[step % len(COLD_ROUND)], seen) for step in range(count)]
     return timed, setup
 
 
