@@ -75,7 +75,9 @@ def enumerate_sample(structures: list[dict], limit: int = 3) -> list[dict]:
 def per_layer(spans: list, samples: list, health: dict, traced_rps: float,
               untraced_rps: float) -> dict:
     """Every per-layer metric of one traced phase (values in their units)."""
-    latency = {s.trace_id: s.latency_s for s in samples}
+    # Wall time, as the server's spans also count any time it was stopped
+    # for a probe.
+    latency = {s.trace_id: s.wall_s for s in samples}
     by_name: dict[str, list] = defaultdict(list)
     top_total: dict[str, float] = defaultdict(float)
     session_total: dict[str, float] = defaultdict(float)

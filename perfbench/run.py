@@ -10,6 +10,11 @@ from this process over keep-alive connections, each sending its next
 request only when the previous answer arrived (the callers this service
 has — compilers and autotuners — wait for every plan).
 
+Server and client share one CPU, which the client probes between
+requests (and, on ``cold_storm``, during them with the server stopped);
+every time reported is scaled to a reference host speed
+(``server.SpeedLog``), because the host's own speed drifts.
+
 ``--trace 0`` reports the end-to-end metrics of ``BENCHMARK.json``;
 ``--trace 1`` runs the workload untraced and then against the traced
 launcher (``traced_serve.py``) and reports the per-layer metrics.  The
@@ -54,6 +59,7 @@ class Workload:
 
     connections = 1
     warm = True  # a warm workload's timed phase must solve no structure
+    round_steps = 1  # a multi-connection window ends on a multiple of this
 
     def __init__(self, name: str, seed: int, seconds: float):
         self.name = name
@@ -214,6 +220,7 @@ class ColdStorm(Workload):
 
     def __init__(self, name, seed, seconds):
         super().__init__(name, seed, seconds)
+        self.round_steps = len(workloads.COLD_ROUND)
         self.problems: list[str] = []
         try:
             self.structures, self.warmup = workloads.cold_structures(
@@ -268,34 +275,48 @@ WORKLOADS = ("warm_novel", "warm_repeat", "cold_storm", "tune_sim")
 
 
 def set_up(workload: Workload, traced: bool, spans_path: Path | None = None):
-    """Spawn a server and send the warm-up; returns (server, seconds, rows)."""
+    """Spawn a server and send the warm-up; returns (server, seconds at the
+    reference host speed, rows).  The CPU is probed between warm-up
+    requests, as in a timed window, and the probes are not counted."""
+    speed = server.SpeedLog()
+    speed.probe()
+    first_probe = speed.paused_s
     started = time.perf_counter()
     srv = server.Server(traced, spans_path, log_name="server-traced" if traced else "server")
     try:
         conn = server.Connection(srv.port)
         try:
             rows = []
+            next_probe = time.perf_counter() + server.PROBE_EVERY_S
             for kind, route, body in workload.setup_items():
+                if time.perf_counter() >= next_probe:
+                    speed.probe()
+                    next_probe = time.perf_counter() + server.PROBE_EVERY_S
                 status, response = conn.request(server.encode_post(route, body))
                 rows.append((kind, body, status, response))
         finally:
             conn.close()
+        seconds = time.perf_counter() - started - (speed.paused_s - first_probe)
+        speed.probe(server.LOCAL_MIN_PROBES)
     except BaseException:
         srv.stop()
         raise
-    return srv, time.perf_counter() - started, rows
+    return srv, seconds * speed.scale(), rows
 
 
 def timed_phase(workload: Workload, srv: server.Server, traced: bool) -> dict:
     before = server.get_json(srv.port, "/v1/health")
     iterators, sent = workload.streams(traced)
+    speed = server.SpeedLog()
     if len(iterators) == 1:
-        samples, start = server.closed_loop(
-            srv.port, iterators[0], workload.seconds, workload.inline_check()
+        samples, active_s = server.closed_loop(
+            srv.port, iterators[0], workload.seconds, workload.inline_check(), speed
         )
         per_conn = [samples]
     else:
-        per_conn, start = server.parallel_closed_loops(srv.port, iterators, workload.seconds)
+        per_conn, active_s = server.lockstep_closed_loops(
+            srv.port, iterators, workload.seconds, srv.proc.pid, speed, workload.round_steps
+        )
     after = server.get_json(srv.port, "/v1/health")
     rows = []
     for samples, log in zip(per_conn, sent):
@@ -306,28 +327,18 @@ def timed_phase(workload: Workload, srv: server.Server, traced: bool) -> dict:
         "samples": samples,
         "per_conn": per_conn,
         "rows": rows,
-        "rps": window_rate(samples, start, workload.seconds),
+        "rps": len(samples) / speed.scaled_seconds(samples, active_s),
+        "unscaled_rps": len(samples) / active_s,
+        "probe_ms": [p * 1e3 for p in speed.probes],
         "health": layers.health_delta(before, after),
         "rss_mb": srv.peak_rss_mb(),
     }
 
 
-def window_rate(samples, start: float, seconds: float) -> float:
-    """Requests per second of the window; a request straddling its end
-    counts by the share of its time inside."""
-    end = start + seconds
-    done = 0.0
-    for s in samples:
-        inside = min(s.end, end) - max(s.start, start)
-        if inside > 0:
-            done += inside / (s.end - s.start)
-    return done / seconds
-
-
 def kind_p50_ms(samples) -> dict[str, float]:
     by_kind: dict[str, list] = {}
     for s in samples:
-        by_kind.setdefault(s.kind, []).append(s.latency_s * 1e3)
+        by_kind.setdefault(s.kind, []).append(s.scaled_latency_s * 1e3)
     return {kind: layers.percentile(values, 0.5) for kind, values in by_kind.items()}
 
 
@@ -377,7 +388,7 @@ def run_workload(workload: Workload, trace: int, bench: dict) -> dict:
             srv.stop()
         wrong, found = phase_problems(workload, phase, setup_rows)
         problems += found
-        latencies = [s.latency_s * 1e3 for s in phase["samples"]]
+        latencies = [s.scaled_latency_s * 1e3 for s in phase["samples"]]
         if not latencies:
             raise RuntimeError(f"no request completed in the window; problems: {problems}")
         kinds = kind_p50_ms(phase["samples"])
@@ -390,7 +401,14 @@ def run_workload(workload: Workload, trace: int, bench: dict) -> dict:
             "setup_s": statistics.median(setups),
             "server_peak_rss_mb": phase["rss_mb"],
         }
+        raw = [s.latency_s * 1e3 for s in phase["samples"]]
+        probes = phase["probe_ms"]
         info = {"setup_s_runs": setups, "samples": len(latencies), "kind_p50_ms": kinds,
+                "unscaled": {"rps": phase["unscaled_rps"],
+                             "p50_ms": layers.percentile(raw, 0.5),
+                             "p90_ms": layers.percentile(raw, 0.9)},
+                "probe_ms": {"min": min(probes), "median": statistics.median(probes),
+                             "max": max(probes), "count": len(probes)},
                 **workload.window_info(phase)}
         attempted = len(latencies)
         names = bench["end_to_end"]
@@ -421,7 +439,7 @@ def run_workload(workload: Workload, trace: int, bench: dict) -> dict:
             spans, traced["samples"], traced["health"], traced["rps"], plain["rps"]
         )
         kinds = kind_p50_ms(plain["samples"])
-        latencies = [s.latency_s * 1e3 for s in plain["samples"]]
+        latencies = [s.scaled_latency_s * 1e3 for s in plain["samples"]]
         for kind in ("analyze", "program", "distributed", "simulate", "tune", "hierarchy"):
             values[f"{kind}_p50_ms"] = kinds.get(kind, 0.0)
         values["latency_p99_ms"] = layers.percentile(latencies, 0.99)
@@ -457,9 +475,7 @@ def main(argv: list[str] | None = None) -> int:
         return _fail("--seconds must be positive")
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     environment = prepare()
-    _, client_cpus = server.cpu_split()
-    if client_cpus:
-        os.sched_setaffinity(0, client_cpus)
+    os.sched_setaffinity(0, server.bench_cpus())
     print(json.dumps({"environment": environment}), flush=True)
     workload = make_workload(args.workload, args.seed, args.seconds)
     outcome = run_workload(workload, args.trace, bench)
