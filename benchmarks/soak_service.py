@@ -232,7 +232,6 @@ def _check_metrics(base: str, health_routes: dict | None) -> list[str]:
     for family, expected in (
         ("repro_requests_total", "counter"),
         ("repro_request_seconds", "histogram"),
-        ("repro_server_requests_total", "counter"),
     ):
         if types1.get(family) != expected:
             problems.append(f"scrape lacks {expected} family {family}")

@@ -31,7 +31,6 @@ through a process-wide default :class:`repro.api.Session`, so repeated
 analyses of structurally identical nests hit the plan cache.
 """
 
-import warnings
 from dataclasses import dataclass
 
 from .core import (
@@ -72,8 +71,6 @@ from .library import catalog
 from .machine import MachineModel, MissCurve, TrafficReport, miss_curve
 from .parallel import distributed_lower_bound, optimal_grid, simulate_grid
 from .plan import Planner, PlanRequest, TilePlan
-from .plan import plan_batch as _plan_batch
-from .plan import sweep_requests as _sweep_requests
 from .simulate import (
     best_order_traffic,
     generate_trace_batched,
@@ -131,30 +128,6 @@ def analyze(nest: LoopNest, cache_words: int, budget: str = "per-array") -> Anal
     cache size — is answered from the plan cache, exactly.
     """
     return default_session().analysis(nest, cache_words, budget=budget)
-
-
-def plan_batch(requests, planner=None, max_workers=None, include_bound=True):
-    """Deprecated shim — use :meth:`repro.api.Session.batch` instead."""
-    warnings.warn(
-        "repro.plan_batch is deprecated; use repro.api.Session.batch "
-        "(or repro.plan.plan_batch for the raw engine)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _plan_batch(
-        requests, planner=planner, max_workers=max_workers, include_bound=include_bound
-    )
-
-
-def sweep_requests(builder, size_axes, cache_sizes, budget="per-array"):
-    """Deprecated shim — use :class:`repro.api.SweepRequest` instead."""
-    warnings.warn(
-        "repro.sweep_requests is deprecated; use repro.api.SweepRequest "
-        "(or repro.plan.sweep_requests for the raw engine)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _sweep_requests(builder, size_axes, cache_sizes, budget=budget)
 
 
 __all__ = [
@@ -222,6 +195,4 @@ __all__ = [
     "Planner",
     "PlanRequest",
     "TilePlan",
-    "plan_batch",
-    "sweep_requests",
 ]

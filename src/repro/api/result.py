@@ -26,22 +26,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Mapping
 
+from .kinds import REQUEST_KINDS
 from .wire import SCHEMA_VERSION, RequestError, json_safe, parse_fraction
 
 __all__ = ["Result", "SCHEMA_VERSION"]
 
-#: The envelope kinds schema v1 defines.
-KINDS = (
-    "analyze",
-    "simulate",
-    "sweep",
-    "tune",
-    "hierarchy",
-    "program",
-    "distributed",
-    "health",
-    "error",
-)
+#: The envelope kinds schema v1 defines: one per request kind, plus
+#: the health probe and the error envelope.
+KINDS = tuple(row.kind for row in REQUEST_KINDS) + ("health", "error")
 
 
 @dataclass(frozen=True)

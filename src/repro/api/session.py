@@ -196,14 +196,14 @@ class Session:
         if isinstance(request, AnalyzeRequest):
             if certificate and not request.certificate:
                 request = replace(request, certificate=True)
-            return request.validate()
+            return request
         if isinstance(request, PlanRequest):
             return AnalyzeRequest(
                 nest=request.nest,
                 cache_words=request.cache_words,
                 budget=request.budget,
                 certificate=certificate,
-            ).validate()
+            )
         if isinstance(request, LoopNest):
             if cache_words is None:
                 raise RequestError("analyze(nest, ...) needs cache_words")
@@ -212,7 +212,7 @@ class Session:
                 cache_words=int(cache_words),
                 budget=budget,
                 certificate=certificate,
-            ).validate()
+            )
         if isinstance(request, tuple) and 2 <= len(request) <= 3:
             nest, m, *rest = request
             return AnalyzeRequest(
@@ -220,10 +220,46 @@ class Session:
                 cache_words=int(m),
                 budget=rest[0] if rest else budget,
                 certificate=certificate,
-            ).validate()
+            )
         raise RequestError(
             f"cannot interpret {type(request).__name__} as an analyze request"
         )
+
+    def _workers(self, workers: int | None) -> int | None:
+        return self.workers if workers is None else workers
+
+    # -- the wrapper every entry point shares -------------------------------
+
+    def _answer(self, kind: str, requests: list, deadline_ms: float | None, run) -> list[Result]:
+        """Validate, run under the deadline, and wrap the answers.
+
+        ``run(events)`` returns one ``(payload, meta, detail)`` per
+        request; each becomes a ``kind`` Result whose meta is
+        ``elapsed_ms`` (amortised over ``requests``), then the kind's own
+        ``meta`` keys, then ``degraded``/``degraded_reasons`` if a pool
+        broke.  An expired deadline maps every request to the structured
+        504 envelope.
+        """
+        t0 = time.perf_counter()
+        for request in requests:
+            request.validate()
+        events: dict = {}
+        try:
+            with deadline_scope(deadline_ms):
+                answers = run(events)
+        except DeadlineExceeded as exc:
+            return [_deadline_error(exc) for _ in requests]
+        elapsed_ms = _ms((time.perf_counter() - t0) / max(1, len(requests)))
+        degraded = _degraded_meta(events) or {}
+        return [
+            Result(
+                kind=kind,
+                payload=payload,
+                meta={"elapsed_ms": elapsed_ms, **meta, **degraded},
+                detail=detail,
+            )
+            for payload, meta, detail in answers
+        ]
 
     # -- payload builders ---------------------------------------------------
 
@@ -244,14 +280,7 @@ class Session:
             "budget": "per-array",
         }
 
-    def _analyze_result(
-        self,
-        request: AnalyzeRequest,
-        plan: TilePlan,
-        t0: float | None = None,
-        elapsed_ms: float | None = None,
-        extra_meta: dict | None = None,
-    ) -> Result:
+    def _analyze_answer(self, request: AnalyzeRequest, plan: TilePlan) -> tuple:
         payload = plan.to_json()
         payload.pop("cache_hit", None)
         payload["certificate"] = (
@@ -261,17 +290,7 @@ class Session:
             if request.certificate
             else None
         )
-        if elapsed_ms is None:
-            elapsed_ms = _ms(time.perf_counter() - t0)
-        meta = {"elapsed_ms": elapsed_ms, "cache_hit": plan.cache_hit}
-        if extra_meta:
-            meta.update(extra_meta)
-        return Result(
-            kind="analyze",
-            payload=payload,
-            meta=meta,
-            detail=plan,
-        )
+        return payload, {"cache_hit": plan.cache_hit}, plan
 
     # -- service entry points -----------------------------------------------
 
@@ -294,14 +313,13 @@ class Session:
         whose simplex outruns the budget yields a structured 504
         envelope instead of blocking indefinitely.
         """
-        t0 = time.perf_counter()
         request = self._as_analyze(request, cache_words, budget, certificate)
-        try:
-            with deadline_scope(deadline_ms):
-                plan = self.planner.plan(request.nest, request.cache_words, request.budget)
-                return self._analyze_result(request, plan, t0)
-        except DeadlineExceeded as exc:
-            return _deadline_error(exc)
+
+        def run(events):
+            plan = self.planner.plan(request.nest, request.cache_words, request.budget)
+            return [self._analyze_answer(request, plan)]
+
+        return self._answer("analyze", [request], deadline_ms, run)[0]
 
     @_traced
     def batch(
@@ -327,25 +345,18 @@ class Session:
         envelope (the batch is one unit of work — per-request partial
         answers would break positional zipping).
         """
-        t0 = time.perf_counter()
         reqs = [self._as_analyze(item, budget=budget) for item in requests]
-        events: dict = {}
-        try:
-            with deadline_scope(deadline_ms):
-                plans = plan_batch(
-                    [PlanRequest(r.nest, r.cache_words, r.budget) for r in reqs],
-                    planner=self.planner,
-                    max_workers=self.workers if workers is None else workers,
-                    events=events,
-                )
-        except DeadlineExceeded as exc:
-            return [_deadline_error(exc) for _ in reqs]
-        per_request_ms = _ms((time.perf_counter() - t0) / max(1, len(reqs)))
-        extra = _degraded_meta(events)
-        return [
-            self._analyze_result(req, plan, elapsed_ms=per_request_ms, extra_meta=extra)
-            for req, plan in zip(reqs, plans)
-        ]
+
+        def run(events):
+            plans = plan_batch(
+                [PlanRequest(r.nest, r.cache_words, r.budget) for r in reqs],
+                planner=self.planner,
+                max_workers=self._workers(workers),
+                events=events,
+            )
+            return [self._analyze_answer(req, plan) for req, plan in zip(reqs, plans)]
+
+        return self._answer("analyze", reqs, deadline_ms, run)
 
     @_traced
     def sweep(
@@ -361,15 +372,11 @@ class Session:
     @_traced
     def simulate(self, request: SimulateRequest, *, deadline_ms: float | None = None) -> Result:
         """Trace-driven cache simulation; the ``/v1`` story's ground truth."""
-        t0 = time.perf_counter()
-        request = request.validate()
-        try:
-            with deadline_scope(deadline_ms):
-                return self._simulate_inner(request, t0)
-        except DeadlineExceeded as exc:
-            return _deadline_error(exc)
+        return self._answer(
+            "simulate", [request], deadline_ms, lambda events: [self._simulate_answer(request)]
+        )[0]
 
-    def _simulate_inner(self, request: SimulateRequest, t0: float) -> Result:
+    def _simulate_answer(self, request: SimulateRequest) -> tuple:
         planned: TilePlan | None = None
         if request.tile is not None:
             tile = TileShape(nest=request.nest, blocks=request.tile)
@@ -408,11 +415,8 @@ class Session:
                 else None
             ),
         }
-        meta = {
-            "elapsed_ms": _ms(time.perf_counter() - t0),
-            "cache_hit": planned.cache_hit if planned is not None else None,
-        }
-        return Result(kind="simulate", payload=payload, meta=meta, detail=report)
+        meta = {"cache_hit": planned.cache_hit if planned is not None else None}
+        return payload, meta, report
 
     @_traced
     def tune(
@@ -433,34 +437,23 @@ class Session:
         survived serially (``meta.degraded``); an expired ``deadline_ms``
         yields the structured 504 envelope.
         """
-        t0 = time.perf_counter()
-        request = request.validate()
-        events: dict = {}
-        try:
-            with deadline_scope(deadline_ms):
-                report = tune_tile(
-                    request.nest,
-                    request.cache_words,
-                    budget=request.budget,
-                    strategy=request.strategy,
-                    max_evaluations=request.max_evaluations,
-                    radius=request.radius,
-                    capacities=request.capacities,
-                    planner=self.planner,
-                    workers=self.workers if workers is None else workers,
-                    events=events,
-                )
-        except DeadlineExceeded as exc:
-            return _deadline_error(exc)
-        payload = report.to_json()
-        meta = {
-            "elapsed_ms": _ms(time.perf_counter() - t0),
-            "cache_hit": report.plan.cache_hit,
-        }
-        extra = _degraded_meta(events)
-        if extra:
-            meta.update(extra)
-        return Result(kind="tune", payload=payload, meta=meta, detail=report)
+
+        def run(events):
+            report = tune_tile(
+                request.nest,
+                request.cache_words,
+                budget=request.budget,
+                strategy=request.strategy,
+                max_evaluations=request.max_evaluations,
+                radius=request.radius,
+                capacities=request.capacities,
+                planner=self.planner,
+                workers=self._workers(workers),
+                events=events,
+            )
+            return [(report.to_json(), {"cache_hit": report.plan.cache_hit}, report)]
+
+        return self._answer("tune", [request], deadline_ms, run)[0]
 
     @_traced
     def hierarchy(
@@ -482,33 +475,22 @@ class Session:
         :class:`~repro.tune.HierarchyReport` payload; like tune, the
         payload is byte-identical across surfaces and worker counts.
         """
-        t0 = time.perf_counter()
-        request = request.validate()
-        events: dict = {}
-        try:
-            with deadline_scope(deadline_ms):
-                report = tune_hierarchy(
-                    request.nest,
-                    request.capacities,
-                    budget=request.budget,
-                    strategy=request.strategy,
-                    max_evaluations=max(1, request.tune_budget),
-                    radius=request.radius,
-                    planner=self.planner,
-                    workers=self.workers if workers is None else workers,
-                    events=events,
-                )
-        except DeadlineExceeded as exc:
-            return _deadline_error(exc)
-        payload = report.to_json()
-        meta = {
-            "elapsed_ms": _ms(time.perf_counter() - t0),
-            "cache_hit": report.cache_hit,
-        }
-        extra = _degraded_meta(events)
-        if extra:
-            meta.update(extra)
-        return Result(kind="hierarchy", payload=payload, meta=meta, detail=report)
+
+        def run(events):
+            report = tune_hierarchy(
+                request.nest,
+                request.capacities,
+                budget=request.budget,
+                strategy=request.strategy,
+                max_evaluations=max(1, request.tune_budget),
+                radius=request.radius,
+                planner=self.planner,
+                workers=self._workers(workers),
+                events=events,
+            )
+            return [(report.to_json(), {"cache_hit": report.cache_hit}, report)]
+
+        return self._answer("hierarchy", [request], deadline_ms, run)[0]
 
     @_traced
     def program(
@@ -528,66 +510,54 @@ class Session:
         planner-stats delta ride on meta), so the same program yields
         byte-identical payloads across surfaces and cache temperatures.
         """
-        t0 = time.perf_counter()
-        request = request.validate()
-        events: dict = {}
-        stats_before = self.planner.stats.as_dict()
-        try:
-            with deadline_scope(deadline_ms):
-                report = plan_program(
-                    request.program,
-                    request.cache_words,
-                    budget=request.budget,
-                    certificate=request.certificate,
-                    tune_budget=request.tune_budget,
-                    strategy=request.strategy,
-                    radius=request.radius,
-                    planner=self.planner,
-                    workers=self.workers if workers is None else workers,
-                    events=events,
-                )
-        except DeadlineExceeded as exc:
-            return _deadline_error(exc)
-        stats_after = self.planner.stats.as_dict()
-        meta = {
-            "elapsed_ms": _ms(time.perf_counter() - t0),
-            "cache_hit": report.cache_hit,
-            "planner_delta": {
-                key: stats_after[key] - stats_before.get(key, 0)
+
+        def run(events):
+            before = self.planner.stats.as_dict()
+            report = plan_program(
+                request.program,
+                request.cache_words,
+                budget=request.budget,
+                certificate=request.certificate,
+                tune_budget=request.tune_budget,
+                strategy=request.strategy,
+                radius=request.radius,
+                planner=self.planner,
+                workers=self._workers(workers),
+                events=events,
+            )
+            after = self.planner.stats.as_dict()
+            delta = {
+                key: after[key] - before.get(key, 0)
                 for key in ("queries", "structure_hits", "structure_solves")
-            },
-        }
-        extra = _degraded_meta(events)
-        if extra:
-            meta.update(extra)
-        return Result(kind="program", payload=report.to_json(), meta=meta, detail=report)
+            }
+            meta = {"cache_hit": report.cache_hit, "planner_delta": delta}
+            return [(report.to_json(), meta, report)]
+
+        return self._answer("program", [request], deadline_ms, run)[0]
 
     @_traced
     def distributed(
         self, request: DistributedRequest, *, deadline_ms: float | None = None
     ) -> Result:
         """Processor-grid traffic against the distributed lower bound."""
-        t0 = time.perf_counter()
-        request = request.validate()
-        try:
-            with deadline_scope(deadline_ms):
-                report: DistributedReport = simulate_grid(
-                    request.nest, request.processors, request.memory_words, grid=request.grid
-                )
-        except DeadlineExceeded as exc:
-            return _deadline_error(exc)
-        payload = {
-            "nest": request.nest.to_json(),
-            "processors": report.P,
-            "memory_words": request.memory_words,
-            "grid": list(report.grid),
-            "grid_searched": request.grid is None,
-            "words_per_processor": report.words_per_processor,
-            "lower_bound_words": report.lower_bound_words,
-            "ratio": report.ratio,
-        }
-        meta = {"elapsed_ms": _ms(time.perf_counter() - t0)}
-        return Result(kind="distributed", payload=payload, meta=meta, detail=report)
+
+        def run(events):
+            report: DistributedReport = simulate_grid(
+                request.nest, request.processors, request.memory_words, grid=request.grid
+            )
+            payload = {
+                "nest": request.nest.to_json(),
+                "processors": report.P,
+                "memory_words": request.memory_words,
+                "grid": list(report.grid),
+                "grid_searched": request.grid is None,
+                "words_per_processor": report.words_per_processor,
+                "lower_bound_words": report.lower_bound_words,
+                "ratio": report.ratio,
+            }
+            return [(payload, {}, report)]
+
+        return self._answer("distributed", [request], deadline_ms, run)[0]
 
     @_traced
     def health(self) -> Result:

@@ -75,10 +75,10 @@ from .api import (
     TuneRequest,
 )
 from .api import default_session as _session
+from .api.kinds import REQUEST_KINDS
 from .core.loopnest import LoopNest, LoopNestError
 from .core.mplp import parametric_tile_exponent
 from .core.parser import ParseError, parse_nest
-from .frontend.einsum import FrontendError
 from .library.problems import CATALOG_BUILDERS, build_problem
 from .machine.model import MachineModel
 from .simulate.executor import best_order_traffic, simulate_untiled_traffic
@@ -168,8 +168,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
 def build_serve_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-tile serve",
-        description="Serve /v1/{health,analyze,batch,sweep,simulate,tune,hierarchy,"
-        "distributed} as JSON over HTTP",
+        description="Serve /v1/{health,metrics,"
+        + ",".join(row.kind for row in REQUEST_KINDS)
+        + "} as JSON over HTTP",
     )
     parser.add_argument("--host", default="127.0.0.1", help="bind address (default 127.0.0.1)")
     parser.add_argument(
@@ -465,12 +466,43 @@ def _program_from_args(args, parser: argparse.ArgumentParser) -> dict:
     }
 
 
+#: What a malformed invocation raises once argparse has accepted it
+#: (frontend errors are ValueErrors).
+_USAGE_ERRORS = (ParseError, LoopNestError, RequestError, OSError,
+                 json.JSONDecodeError, TypeError, ValueError)
+
+
+def _run_kind(kind: str, args, build, **kwargs) -> int:
+    """Run ``build()``'s request through ``Session.<kind>``.
+
+    Prints one Result JSON line per answer and saves the plan cache when
+    ``--plan-cache`` is given.  Exit code 0 when every answer is ok, 2
+    on a usage error (message on stderr), 3 when an answer is an error
+    envelope such as an expired deadline: still valid Result JSON on
+    stdout, but scripts can tell it apart.
+    """
+    try:
+        request = build()
+        session = Session(plan_cache=args.plan_cache, workers=args.workers)
+        answer = getattr(session, kind)(request, **kwargs)
+        results = answer if isinstance(answer, list) else [answer]
+        for result in results:
+            print(result.to_json_str())
+        if args.plan_cache:
+            session.save_plans()
+    except _USAGE_ERRORS as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    return 0 if all(result.ok for result in results) else 3
+
+
 def _run_program(argv: Sequence[str]) -> int:
     """One program request through a Session; one Result JSON line."""
     parser = build_program_parser()
     args = parser.parse_args(list(argv))
     cache_words = _single_cache_words(args, parser)
-    try:
+
+    def build() -> ProgramRequest:
         blob = _program_from_args(args, parser)
         blob.update(
             cache_words=cache_words,
@@ -480,19 +512,9 @@ def _run_program(argv: Sequence[str]) -> int:
             strategy=args.strategy,
             radius=args.radius,
         )
-        request = ProgramRequest.from_json(blob, "program")
-        session = Session(plan_cache=args.plan_cache, workers=args.workers)
-        result = session.program(request, deadline_ms=args.deadline_ms)
-        print(result.to_json_str())
-        if args.plan_cache:
-            session.save_plans()
-    except (ParseError, FrontendError, LoopNestError, RequestError, OSError,
-            json.JSONDecodeError, TypeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    # An error envelope (e.g. an expired deadline) is still one valid
-    # Result JSON line on stdout, but the exit code tells scripts apart.
-    return 0 if result.ok else 3
+        return ProgramRequest.from_json(blob, "program")
+
+    return _run_kind("program", args, build, deadline_ms=args.deadline_ms)
 
 
 def _nest_from_args(args, parser: argparse.ArgumentParser) -> LoopNest:
@@ -512,28 +534,18 @@ def _run_hierarchy(argv: Sequence[str]) -> int:
     """One hierarchy request through a Session; one Result JSON line."""
     parser = build_hierarchy_parser()
     args = parser.parse_args(list(argv))
-    try:
-        nest = _nest_from_args(args, parser)
-        request = HierarchyRequest(
-            nest=nest,
+
+    def build() -> HierarchyRequest:
+        return HierarchyRequest(
+            nest=_nest_from_args(args, parser),
             capacities=tuple(_parse_choices(args.capacities, "--capacities")),
             budget=args.budget,
             tune_budget=min(args.tune, 8) if args.smoke else args.tune,
             strategy=args.strategy,
             radius=args.radius,
         ).validate()
-        session = Session(plan_cache=args.plan_cache, workers=args.workers)
-        result = session.hierarchy(request, deadline_ms=args.deadline_ms)
-        print(result.to_json_str())
-        if args.plan_cache:
-            session.save_plans()
-    except (ParseError, LoopNestError, RequestError, OSError,
-            json.JSONDecodeError, TypeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    # An error envelope (e.g. an expired deadline) is still one valid
-    # Result JSON line on stdout, but the exit code tells scripts apart.
-    return 0 if result.ok else 3
+
+    return _run_kind("hierarchy", args, build, deadline_ms=args.deadline_ms)
 
 
 def _run_tune(argv: Sequence[str]) -> int:
@@ -541,10 +553,10 @@ def _run_tune(argv: Sequence[str]) -> int:
     parser = build_tune_parser()
     args = parser.parse_args(list(argv))
     cache_words = _single_cache_words(args, parser)
-    try:
-        nest = _nest_from_args(args, parser)
-        request = TuneRequest(
-            nest=nest,
+
+    def build() -> TuneRequest:
+        return TuneRequest(
+            nest=_nest_from_args(args, parser),
             cache_words=cache_words,
             budget=args.budget,
             strategy=args.strategy,
@@ -556,18 +568,8 @@ def _run_tune(argv: Sequence[str]) -> int:
                 else None
             ),
         ).validate()
-        session = Session(plan_cache=args.plan_cache, workers=args.workers)
-        result = session.tune(request, deadline_ms=args.deadline_ms)
-        print(result.to_json_str())
-        if args.plan_cache:
-            session.save_plans()
-    except (ParseError, LoopNestError, RequestError, OSError,
-            json.JSONDecodeError, TypeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    # An error envelope (e.g. an expired deadline) is still one valid
-    # Result JSON line on stdout, but the exit code tells scripts apart.
-    return 0 if result.ok else 3
+
+    return _run_kind("tune", args, build, deadline_ms=args.deadline_ms)
 
 
 def _parse_bounds(blob: str) -> dict[str, int]:
@@ -658,16 +660,6 @@ def _sweep_requests_from_args(args, parser: argparse.ArgumentParser) -> list[Ana
     ]
 
 
-def _run_batch(requests: Sequence[AnalyzeRequest], args) -> int:
-    """Serve a request list through one Session; one Result JSON line each."""
-    session = Session(plan_cache=args.plan_cache, workers=args.workers)
-    for result in session.batch(requests):
-        print(result.to_json_str())
-    if args.plan_cache:
-        session.save_plans()
-    return 0
-
-
 def _run_stats(argv: Sequence[str]) -> int:
     """Observability surface: scrape a server or render the local registry."""
     args = build_stats_parser().parse_args(list(argv))
@@ -739,36 +731,33 @@ def _run_serve(argv: Sequence[str]) -> int:
             session.save_plans()
 
 
+_SUBCOMMANDS = {
+    "serve": _run_serve,
+    "stats": _run_stats,
+    "tune": _run_tune,
+    "hierarchy": _run_hierarchy,
+    "program": _run_program,
+}
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     argv = list(argv)
-    if argv[:1] == ["serve"]:
-        return _run_serve(argv[1:])
-    if argv[:1] == ["stats"]:
-        return _run_stats(argv[1:])
-    if argv[:1] == ["tune"]:
-        return _run_tune(argv[1:])
-    if argv[:1] == ["hierarchy"]:
-        return _run_hierarchy(argv[1:])
-    if argv[:1] == ["program"]:
-        return _run_program(argv[1:])
+    subcommand = _SUBCOMMANDS.get(argv[0]) if argv else None
+    if subcommand is not None:
+        return subcommand(argv[1:])
 
     parser = build_arg_parser()
     args = parser.parse_args(argv)
 
-    try:
-        if args.batch:
-            if args.statement or args.problem or args.sweep:
-                parser.error("--batch takes its queries from the file; "
-                             "drop the statement/--problem/--sweep arguments")
-            return _run_batch(_batch_requests_from_file(args.batch), args)
-        if args.sweep:
-            return _run_batch(_sweep_requests_from_args(args, parser), args)
-    except (ParseError, LoopNestError, RequestError, OSError,
-            json.JSONDecodeError, TypeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if args.batch:
+        if args.statement or args.problem or args.sweep:
+            parser.error("--batch takes its queries from the file; "
+                         "drop the statement/--problem/--sweep arguments")
+        return _run_kind("batch", args, lambda: _batch_requests_from_file(args.batch))
+    if args.sweep:
+        return _run_kind("batch", args, lambda: _sweep_requests_from_args(args, parser))
 
     cache_words = _single_cache_words(args, parser)
     try:

@@ -10,15 +10,13 @@ HTTP, with zero dependencies beyond the standard library:
 ====================  ======  =============================================
 ``/v1/health``        GET     liveness + plan-cache + worker-pool stats
 ``/v1/metrics``       GET     Prometheus text exposition (repro.obs)
-``/v1/analyze``       POST    one :class:`~repro.api.AnalyzeRequest`
-``/v1/batch``         POST    ``{"requests": [...]}`` — ordered results
-``/v1/sweep``         POST    one :class:`~repro.api.SweepRequest` grid
-``/v1/simulate``      POST    one :class:`~repro.api.SimulateRequest`
-``/v1/tune``          POST    one :class:`~repro.api.TuneRequest`
-``/v1/hierarchy``     POST    one :class:`~repro.api.HierarchyRequest`
-``/v1/program``       POST    one :class:`~repro.api.ProgramRequest`
-``/v1/distributed``   POST    one :class:`~repro.api.DistributedRequest`
+``/v1/<kind>``        POST    one row of :data:`repro.api.kinds.REQUEST_KINDS`
 ====================  ======  =============================================
+
+The POST routes, the request class that parses each body, and which
+answers are response-cacheable all come from that table; ``batch``
+(``{"requests": [...]}``) and ``sweep`` answer with an ordered list
+envelope, every other kind with one Result.
 
 Architecture (see ``docs/serving.md``): an asyncio event loop owns the
 sockets (keep-alive, ``TCP_NODELAY``) and never blocks on solver work —
@@ -84,21 +82,8 @@ from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 
-from .api import (
-    SCHEMA_VERSION,
-    AnalyzeRequest,
-    RequestError,
-    Result,
-    Session,
-    SweepRequest,
-)
-from .api.requests import (
-    DistributedRequest,
-    HierarchyRequest,
-    ProgramRequest,
-    SimulateRequest,
-    TuneRequest,
-)
+from .api import SCHEMA_VERSION, RequestError, Result, Session
+from .api.kinds import REQUEST_KINDS, RequestKind
 from .core.loopnest import LoopNestError
 from .core.parser import ParseError
 from .obs import (
@@ -176,18 +161,12 @@ _REASONS = {
     504: "Gateway Timeout",
 }
 
+#: The POST routes, one per row of the request-kind table.
+_KIND_BY_ROUTE = {row.route: row for row in REQUEST_KINDS}
+
 #: Routes answered from the response cache (single-Result 200 bodies;
 #: batch/sweep envelopes and health are excluded by construction).
-_CACHEABLE_ROUTES = frozenset(
-    {
-        "/v1/analyze",
-        "/v1/simulate",
-        "/v1/tune",
-        "/v1/hierarchy",
-        "/v1/program",
-        "/v1/distributed",
-    }
-)
+_CACHEABLE_ROUTES = frozenset(row.route for row in REQUEST_KINDS if row.single)
 
 
 def _error_body(message: str, status: int, detail: dict | None = None) -> dict:
@@ -581,7 +560,7 @@ class ServiceServer:
                 # Like health, metrics bypasses admission control:
                 # scrapers must see an overloaded or draining server.
                 return await self._run_guarded(loop, "/v1/metrics", b"", trace_id)
-            if route in self._POST_ROUTES or route == "/v1/batch":
+            if route in _KIND_BY_ROUTE:
                 return 405, _dump(_error_body("use POST with a JSON body", 405)), None
             self._count_rejected("not-found")
             return 404, _dump(_error_body(f"unknown path {target!r}", 404)), None
@@ -593,7 +572,7 @@ class ServiceServer:
             return await self._run_guarded(loop, "/v1/health", b"", trace_id)
         if route == "/v1/metrics":
             return 405, _dump(_error_body("use GET to scrape /v1/metrics", 405)), None
-        if route not in self._POST_ROUTES:
+        if route not in _KIND_BY_ROUTE:
             self._count_rejected("not-found")
             return 404, _dump(_error_body(f"unknown path {target!r}", 404)), None
         if self.draining:
@@ -822,7 +801,7 @@ class ServiceServer:
                         # any failure path can echo the id.
                         trace.trace_id = body_tid
                     token = self._activate_deadline(blob)
-                    status, body = getattr(self, self._POST_ROUTES[route])(blob)
+                    status, body = self._answer(_KIND_BY_ROUTE[route], blob)
             except RequestError as exc:
                 status, body = 400, _error_body(str(exc), 400, exc.detail or None)
             except DeadlineExceeded as exc:
@@ -957,10 +936,6 @@ class ServiceServer:
         """Registry metrics + live planner/shared-store/server counters."""
         parts = [render_registry(self._registry)]
         stats = self._server_stats()
-        parts.append(render_counters(
-            "repro_server_requests_total", "route", stats["requests_by_route"],
-            "Requests served, by route.",
-        ))
         planner_stats = getattr(getattr(self.session, "planner", None), "stats", None)
         if planner_stats is not None:
             parts.append(render_counters(
@@ -990,8 +965,6 @@ class ServiceServer:
         parts.append(
             "# TYPE repro_coalesced_total counter\n"
             f"repro_coalesced_total {stats['coalesced']}\n"
-            "# TYPE repro_requests_served_total counter\n"
-            f"repro_requests_served_total {stats['requests_served']}\n"
             "# TYPE repro_inflight gauge\n"
             f"repro_inflight {stats['inflight']}\n"
             "# TYPE repro_draining gauge\n"
@@ -1169,17 +1142,6 @@ class ServiceServer:
 
     # -- endpoints (thread pool) ----------------------------------------------
 
-    _POST_ROUTES = {
-        "/v1/analyze": "_post_analyze",
-        "/v1/batch": "_post_batch",
-        "/v1/sweep": "_post_sweep",
-        "/v1/simulate": "_post_simulate",
-        "/v1/tune": "_post_tune",
-        "/v1/hierarchy": "_post_hierarchy",
-        "/v1/program": "_post_program",
-        "/v1/distributed": "_post_distributed",
-    }
-
     def _batch_workers(self) -> int:
         # Injected faults must hit the inline path (pool workers cannot
         # see in-process fault state), mirroring _prewarm's guard.
@@ -1187,66 +1149,47 @@ class ServiceServer:
             return self.workers
         return 0
 
-    def _post_analyze(self, blob: dict) -> tuple[int, dict]:
-        request = AnalyzeRequest.from_json(blob, "analyze")
-        self._prewarm(request.nest)
-        return _result_response(self.session.analyze(request))
+    def _answer(self, row: RequestKind, blob: dict) -> tuple[int, dict]:
+        """Parse ``blob`` as a ``row`` request and answer it via the Session.
 
-    def _post_batch(self, blob: dict) -> tuple[int, dict]:
-        entries = blob.get("requests")
-        if not isinstance(entries, list):
-            raise RequestError("batch body needs a 'requests' list")
-        if len(entries) > MAX_BATCH_REQUESTS:
-            raise RequestError(f"batch of {len(entries)} exceeds {MAX_BATCH_REQUESTS} requests")
-        requests = [
-            AnalyzeRequest.from_json(entry, f"requests[{idx}]")
-            for idx, entry in enumerate(entries)
-        ]
-        return self._batch_response(
-            "batch", self.session.batch(requests, workers=self._batch_workers())
-        )
+        The request class and the Session entry point are looked up at
+        call time.  Single-result kinds answer with their Result (serial
+        kinds with ``workers=0``); batch and sweep answer with a list
+        envelope over ``Session.batch``.
+        """
+        if not row.single:
+            return self._answer_list(row, blob)
+        request = row.request.from_json(blob, row.kind)
+        if row.kind == "analyze":
+            self._prewarm(request.nest)
+        run = getattr(self.session, row.kind)
+        result = run(request, workers=0) if row.serial else run(request)
+        return _result_response(result)
 
-    def _post_sweep(self, blob: dict) -> tuple[int, dict]:
-        sweep = SweepRequest.from_json(blob, "sweep")
-        expanded = sweep.expand()
-        if len(expanded) > MAX_BATCH_REQUESTS:
-            raise RequestError(f"sweep grid exceeds {MAX_BATCH_REQUESTS} requests")
-        return self._batch_response(
-            "sweep", self.session.batch(expanded, workers=self._batch_workers())
-        )
-
-    @staticmethod
-    def _batch_response(kind: str, results: list[Result]) -> tuple[int, dict]:
+    def _answer_list(self, row: RequestKind, blob: dict) -> tuple[int, dict]:
+        if row.kind == "sweep":
+            requests = row.request.from_json(blob, row.kind).expand()
+            if len(requests) > MAX_BATCH_REQUESTS:
+                raise RequestError(f"sweep grid exceeds {MAX_BATCH_REQUESTS} requests")
+        else:
+            entries = blob.get("requests")
+            if not isinstance(entries, list):
+                raise RequestError("batch body needs a 'requests' list")
+            if len(entries) > MAX_BATCH_REQUESTS:
+                raise RequestError(
+                    f"batch of {len(entries)} exceeds {MAX_BATCH_REQUESTS} requests"
+                )
+            requests = [
+                row.request.from_json(entry, f"requests[{idx}]")
+                for idx, entry in enumerate(entries)
+            ]
+        results = self.session.batch(requests, workers=self._batch_workers())
         if results and all(not r.ok for r in results):
             # The batch failed as one unit (an expired deadline maps every
             # request to the same envelope): answer with that envelope and
             # its own status rather than a 200 wrapping N copies.
             return _result_response(results[0])
-        return 200, _results_body(kind, results)
-
-    def _post_simulate(self, blob: dict) -> tuple[int, dict]:
-        request = SimulateRequest.from_json(blob, "simulate")
-        return _result_response(self.session.simulate(request))
-
-    def _post_tune(self, blob: dict) -> tuple[int, dict]:
-        request = TuneRequest.from_json(blob, "tune")
-        # Serial candidate evaluation: tuner pools fan out far wider
-        # than a request should (they belong to offline jobs).
-        return _result_response(self.session.tune(request, workers=0))
-
-    def _post_hierarchy(self, blob: dict) -> tuple[int, dict]:
-        request = HierarchyRequest.from_json(blob, "hierarchy")
-        # Serial candidate evaluation, same reason as tune.
-        return _result_response(self.session.hierarchy(request, workers=0))
-
-    def _post_program(self, blob: dict) -> tuple[int, dict]:
-        request = ProgramRequest.from_json(blob, "program")
-        # Serial band tuning, same reason as tune.
-        return _result_response(self.session.program(request, workers=0))
-
-    def _post_distributed(self, blob: dict) -> tuple[int, dict]:
-        request = DistributedRequest.from_json(blob, "distributed")
-        return _result_response(self.session.distributed(request))
+        return 200, _results_body(row.kind, results)
 
 
 def make_server(

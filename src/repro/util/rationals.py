@@ -62,8 +62,14 @@ def integer_nth_root(value: int, n: int) -> int:
         raise ValueError("n must be positive")
     if value in (0, 1) or n == 1:
         return value
-    # Initial guess from floats, then correct with integer Newton steps.
-    guess = int(round(value ** (1.0 / n))) + 1
+    # Seed at or above the root with integers only (a float seed
+    # overflows past ~2**1024): the root of the value's top bits,
+    # shifted back, or a power of two when the value is small.
+    shift = value.bit_length() // (2 * n)
+    if shift:
+        guess = (integer_nth_root(value >> (n * shift), n) + 1) << shift
+    else:
+        guess = 1 << -(-value.bit_length() // n)
     while guess**n > value:
         # Newton step for f(x) = x^n - value.
         guess = ((n - 1) * guess + value // guess ** (n - 1)) // n

@@ -4,7 +4,7 @@ Covers the schema-v1 contract — every request and result type
 round-trips losslessly through JSON (Fractions as exact ``"p/q"``
 strings, property-tested) — and the session semantics: warm repeats hit
 the plan cache, ``repro.analyze`` routes through the default session,
-and the deprecated flat helpers still work but warn.
+and the raw plan engine stays warning-free.
 """
 
 import doctest
@@ -453,16 +453,20 @@ class TestPlannerCertificate:
             Planner().certificate(matmul(4, 4, 4), 1)
 
 
-class TestDeprecatedShims:
-    def test_plan_batch_warns_and_delegates(self):
-        with pytest.warns(DeprecationWarning, match="Session.batch"):
-            plans = repro.plan_batch([(matmul(16, 16, 16), 64)], max_workers=0)
-        assert plans[0].exponent == Fraction(3, 2)
+class TestHugeExactPowers:
+    def test_analyze_beyond_float_range_matches_solve_tiling(self):
+        # The lower bound takes M ** k_hat exactly; here M ** 59 has
+        # ~1000 bits, past the float range a float root seed needs.
+        nest = mttkrp(1180, 482, 32, 2901)
+        result = Session().analyze(nest, 2**18)
+        assert result.ok
+        assert result.fraction("k_hat") == solve_tiling(nest, 2**18).exponent == Fraction(59, 36)
 
-    def test_sweep_requests_warns_and_delegates(self):
-        with pytest.warns(DeprecationWarning, match="SweepRequest"):
-            reqs = repro.sweep_requests(nbody, [(8, 16), (8,)], [64])
-        assert len(reqs) == 2
+
+class TestDeprecatedShims:
+    def test_flat_shims_are_gone(self):
+        assert not hasattr(repro, "plan_batch") and "plan_batch" not in repro.__all__
+        assert not hasattr(repro, "sweep_requests") and "sweep_requests" not in repro.__all__
 
     def test_engine_functions_do_not_warn(self):
         import warnings as w

@@ -39,6 +39,17 @@ class TestIntegerNthRoot:
         assert integer_nth_root(big, 2) == 10**20 + 1
         assert integer_nth_root(big - 1, 2) == 10**20
 
+    @pytest.mark.parametrize("n", [2, 3, 7, 36, 64])
+    def test_beyond_float_range(self, n):
+        # 2**5000 overflows a float; the seed must stay in integers.
+        for value in (2**5000, 2**5000 - 1, 3**3200 + 12345, (2**97 + 5) ** n):
+            root = integer_nth_root(value, n)
+            assert root**n <= value < (root + 1) ** n
+
+    def test_pow_fraction_huge_exact_power(self):
+        # pow_fraction's exact path materialises base**numerator.
+        assert pow_fraction(2**18, F(59, 36)) == pytest.approx(2 ** (18 * 59 / 36))
+
     def test_validation(self):
         with pytest.raises(ValueError):
             integer_nth_root(-1, 2)
