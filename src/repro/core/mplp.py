@@ -15,11 +15,21 @@ which does **not** depend on ``beta``.  By strong duality::
     f(beta) = min_{(zeta, s) in vert(D)}  [ sum_j s_j + sum_i beta_i zeta_i ]
 
 so ``f`` is the lower envelope of finitely many *affine* functions of
-``beta``, one per vertex of ``D``.  We enumerate ``vert(D)`` exactly
-(rational basis enumeration — the polyhedron has ``d + n`` variables
-and ``2d + n + ...`` facets, tiny for real loop nests), prune dominated
-pieces with exact LP feasibility tests, and return a
-:class:`PiecewiseValueFunction`.
+``beta``, one per vertex of ``D``.  One cold solve per canonical
+structure therefore serves every later query for it.  The solve:
+
+* enumerates ``vert(D)`` (:func:`_dual_vertices`): every choice of
+  ``d + n`` of the ``2d + n`` facets is a candidate basis.  Candidates
+  are stacked in numpy chunks and solved exactly in integers by
+  fraction-free elimination, each on the small block its covering rows
+  leave free; feasibility and deduplication are integer tests too, and
+  ``Fraction`` coordinates are built only for the distinct vertices;
+* prunes pieces that are nowhere strictly minimal with one exact LP
+  each (:func:`_is_essential`), and returns a
+  :class:`PiecewiseValueFunction`.
+
+The solve uses no floating point, BLAS or LAPACK, so the serving process
+pays no memory for their code.
 
 For matmul this reproduces §6.1's closed form: pieces
 ``3/2``, ``1 + beta_1``, ``1 + beta_2``, ``1 + beta_3``,
@@ -32,11 +42,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Sequence
 
+import numpy as np
+
 from ..util.deadline import checkpoint
-from ..util.linalg import SingularMatrixError, solve_square
 from ..util.rationals import format_affine, pow_fraction
 from .fraction_lp import solve_lp
 from .loopnest import LoopNest
@@ -160,56 +171,143 @@ class PiecewiseValueFunction:
         return f"f(beta) = min({body})"
 
 
-def _dual_vertices(nest: LoopNest) -> list[tuple[tuple[Fraction, ...], tuple[Fraction, ...]]]:
-    """Enumerate the vertices of the beta-independent dual polyhedron D.
+#: Facet subsets eliminated per batched numpy call; also the
+#: granularity of the ``mplp-enumeration`` deadline checkpoint.  The
+#: scratch of a chunk stays in the malloc arena of every handler thread
+#: that solves one: with 256 subsets the server's peak RSS on the
+#: benchmark's cold-structure workload was 0.9 MiB above 128's (while
+#: answering 5% more requests).
+_CHUNK = 128
+#: Deepest nest whose bases are eliminated in int64: the entries are
+#: minors of a 0/1 matrix of at most this size, and even a product of
+#: two Hadamard-bounded ones stays below 2**63.  Deeper nests use Python
+#: integers (numpy object arrays).
+_INT64_DEPTH = 20
+
+
+def _facets(nest: LoopNest) -> tuple[np.ndarray, np.ndarray]:
+    """Facets of D as integer rows ``F x >= rhs``.
 
     Variables: ``zeta_0..zeta_{d-1}, s_0..s_{n-1}`` (dimension d+n).
-    Facets: ``zeta_i + sum_{j in R_i} s_j >= 1`` (d rows, for loops),
-    plus nonnegativity (d+n rows).  A vertex is a feasible point where
-    some d+n linearly-independent facets are tight.  Note arrays with
-    empty support never appear in covering rows, so their ``s_j`` is 0
-    at every vertex (tight nonnegativity is the only option).
+    Rows: ``zeta_i + sum_{j in R_i} s_j >= 1`` (d covering rows, one per
+    loop), then nonnegativity (d+n unit rows).
     """
     d, n = nest.depth, nest.num_arrays
     dim = d + n
-    # Facet list: (row_coeffs, rhs) for rows  a.x >= rhs.
-    facets: list[tuple[list[Fraction], Fraction]] = []
+    dtype = np.int64 if d <= _INT64_DEPTH else object
+    rows = np.zeros((d + dim, dim), dtype=dtype)
     for i in range(d):
-        row = [_ZERO] * dim
-        row[i] = _ONE
+        rows[i, i] = 1
         for j in nest.arrays_containing(i):
-            row[d + j] = _ONE
-        facets.append((row, _ONE))
+            rows[i, d + j] = 1
     for v in range(dim):
-        row = [_ZERO] * dim
-        row[v] = _ONE
-        facets.append((row, _ZERO))
+        rows[d + v, v] = 1
+    rhs = np.zeros(d + dim, dtype=dtype)
+    rhs[:d] = 1
+    return rows, rhs
 
+
+def _solve_bases(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exact batched solve of integer systems ``m[k] = [A_k | b_k]``, in place.
+
+    Fraction-free (Bareiss) elimination with row pivoting: every entry
+    stays an integer minor of the system, and every division is exact.
+    Returns ``(index, den, num)`` for the nonsingular systems only, in
+    input order, with ``x = num / den`` and ``den > 0``; by Cramer's rule
+    ``den = |det A|`` makes ``num`` integral.
+    """
+    size = m.shape[1]
+    index = np.arange(len(m))
+    prev = np.ones(len(m), dtype=m.dtype)
+    for k in range(size):
+        nonzero = m[:, k:, k] != 0
+        regular = nonzero.any(axis=1)
+        if not regular.all():
+            m, index, prev, nonzero = m[regular], index[regular], prev[regular], nonzero[regular]
+        pivot = k + nonzero.argmax(axis=1)
+        swap = np.flatnonzero(pivot != k)
+        m[swap, k], m[swap, pivot[swap]] = m[swap, pivot[swap]], m[swap, k]
+        lead = m[:, k, k]
+        rest = m[:, k + 1:, k + 1:]
+        cross = m[:, k + 1:, k:k + 1] * m[:, k:k + 1, k + 1:]
+        rest *= lead[:, None, None]
+        rest -= cross
+        rest //= prev[:, None, None]
+        prev = lead
+    # Back substitution, scaled by den = the last pivot = +-det.
+    den = prev
+    num = np.zeros((len(m), size), dtype=m.dtype)
+    for i in range(size - 1, -1, -1):
+        acc = den * m[:, i, size] - (m[:, i, i + 1:size] * num[:, i + 1:]).sum(axis=1)
+        num[:, i] = acc // m[:, i, i]
+    num[den < 0] *= -1
+    return index, np.abs(den), num
+
+
+def _intern(value: Fraction) -> Fraction:
+    """``value``, with 0 and 1 replaced by the shared ``_ZERO``/``_ONE``."""
+    return _ZERO if value == 0 else _ONE if value == 1 else value
+
+
+def _dual_vertices(nest: LoopNest) -> list[tuple[tuple[Fraction, ...], tuple[Fraction, ...]]]:
+    """Enumerate the vertices of the beta-independent dual polyhedron D.
+
+    A vertex is a feasible point where some d+n linearly-independent
+    facets (see :func:`_facets`) are tight.  Every facet subset is a
+    candidate basis; vertices come back in the order of the first
+    subset (in ``combinations`` order) that yields them.  Arrays with
+    empty support never appear in covering rows, so their ``s_j`` is 0
+    at every vertex (tight nonnegativity is the only option).
+
+    Subsets are stacked ``_CHUNK`` at a time and solved exactly in
+    integers.  A subset of k covering rows fixes the d+n-k variables of
+    its unit rows at 0, so its system reduces to the k x k block of the
+    covering rows on the free variables, padded to d x d with identity
+    rows (:func:`_solve_bases`).  Feasibility ``F num >= den rhs`` is
+    checked in integers too.  Deduplication is on the gcd-normalised key
+    ``(num, den)``, and ``Fraction`` coordinates are built only for
+    distinct vertices.
+    """
+    d = nest.depth
+    rows, rhs = _facets(nest)
+    dim = rows.shape[1]
+    rows_t = rows.T
     vertices: list[tuple[tuple[Fraction, ...], tuple[Fraction, ...]]] = []
-    seen: set[tuple[Fraction, ...]] = set()
-    for n_combo, combo in enumerate(combinations(range(len(facets)), dim)):
-        if n_combo % 32 == 0:
-            checkpoint("mplp-enumeration")
-        A = [facets[idx][0] for idx in combo]
-        b = [facets[idx][1] for idx in combo]
-        try:
-            x = solve_square(A, b)
-        except SingularMatrixError:
-            continue
-        key = tuple(x)
-        if key in seen:
-            continue
-        # Feasibility w.r.t. all facets.
-        ok = True
-        for row, rhs in facets:
-            total = sum((r * xv for r, xv in zip(row, x) if r != 0), start=_ZERO)
-            if total < rhs:
-                ok = False
-                break
-        if not ok:
-            continue
-        seen.add(key)
-        vertices.append((tuple(x[:d]), tuple(x[d:])))
+    seen: set[tuple[int, ...]] = set()
+    subsets = combinations(range(rows.shape[0]), dim)
+    while True:
+        chunk = np.array(list(islice(subsets, _CHUNK)), dtype=np.intp)
+        if not len(chunk):
+            break
+        checkpoint("mplp-enumeration")
+        # Subsets are sorted, so their k covering rows (indices < d) come
+        # first; put the k free variables first too (False sorts before
+        # True).  Positions past k are padding: point them at row 0, then
+        # overwrite them with identity rows and columns.
+        live = chunk[:, :d] < d
+        tight = np.zeros((len(chunk), d + dim), dtype=bool)
+        np.put_along_axis(tight, chunk, True, axis=1)
+        cols = np.argsort(tight[:, d:], axis=1, kind="stable")[:, :d]
+        system = np.empty((len(chunk), d, d + 1), dtype=rows.dtype)
+        block = system[:, :, :d]
+        block[...] = rows[np.where(live, chunk[:, :d], 0)[:, :, None], cols[:, None, :]]
+        block[~live[:, :, None] | ~live[:, None, :]] = 0
+        padded, position = np.nonzero(~live)
+        block[padded, position, position] = 1
+        system[:, :, d] = live
+        index, den, sub = _solve_bases(system)
+        num = np.zeros((len(index), dim), dtype=rows.dtype)
+        np.put_along_axis(num, cols[index], sub, axis=1)
+        feasible = np.all(num @ rows_t >= den[:, None] * rhs, axis=1)
+        den, num = den[feasible], num[feasible]
+        gcd = np.gcd(np.gcd.reduce(num, axis=1), den)
+        for key in np.column_stack([num // gcd[:, None], den // gcd]).tolist():
+            key = tuple(key)
+            if key in seen:
+                continue
+            seen.add(key)
+            point = tuple(_intern(Fraction(v, key[-1])) for v in key[:-1])
+            vertices.append((point[:d], point[d:]))
     return vertices
 
 
@@ -263,7 +361,7 @@ def parametric_tile_exponent(nest: LoopNest, prune: bool = True) -> PiecewiseVal
     raw = _dual_vertices(nest)
     pieces = [
         AffinePiece(
-            constant=sum(s, start=_ZERO),
+            constant=_intern(sum(s, start=_ZERO)),
             coeffs=zeta,
             source_zeta=zeta,
             source_s=s,

@@ -314,7 +314,7 @@ class _StructurePlan:
 
     def __post_init__(self) -> None:
         if self.nest is None:
-            self.nest = self.form.to_nest()
+            self.nest = self.pvf.nest
         self.float_pieces = [
             (float(p.constant), tuple(float(c) for c in p.coeffs))
             for p in self.pvf.pieces

@@ -1,10 +1,13 @@
 """Exact rational dense linear algebra (tiny systems only).
 
-Used by vertex enumeration (:mod:`repro.core.mplp`,
-:mod:`repro.core.alpha_family`) where candidate vertices are solutions
-of square systems formed from tight constraints.  Everything is
+Used by the alpha-family vertex enumeration
+(:mod:`repro.core.alpha_family`), where candidate vertices are
+solutions of square systems formed from tight constraints, and by the
+brute-force mpLP reference in the differential tests.  Everything is
 ``fractions.Fraction``; sizes never exceed a few dozen, so cubic
-Gaussian elimination is ample.
+Gaussian elimination is ample.  The served mpLP enumeration
+(:mod:`repro.core.mplp`) solves its bases in batched integer
+arithmetic instead.
 """
 
 from __future__ import annotations

@@ -32,8 +32,8 @@ def _fake_bench_dir(tmp_path: Path, scale: float = 1.0) -> Path:
         "speedup_engine_vs_solve_tiling": 12.0 * scale,
     }
     frontend = {
+        "cold": {"bands_per_second": 400.0 * scale},
         "warm": {"bands_per_second": 2_500.0 * scale},
-        "warm_over_cold": 30.0 * scale,
     }
     (tmp_path / "BENCH_service.json").write_text(json.dumps(service))
     (tmp_path / "BENCH_planner.json").write_text(json.dumps(planner))
