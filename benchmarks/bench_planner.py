@@ -20,6 +20,11 @@ measures:
 and emits ``benchmarks/results/BENCH_planner.json`` with the measured
 ratios plus cache-effectiveness counters and the persistence (solve
 vs load) comparison, so future PRs can track the service's trajectory.
+
+A second leg times fresh cold solves: a new ``Planner`` answers one
+query per distinct catalog structure, best of several passes, as
+``cold_structures.structures_per_second`` (gated in CI as
+``planner.cold_structures_per_second``).
 """
 
 import json
@@ -29,6 +34,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+from repro import canonical_key
 from repro.api import Session
 
 # The cold baselines measure the raw per-query solvers the façade
@@ -36,6 +42,7 @@ from repro.api import Session
 from repro.core.bounds import communication_lower_bound as cold_lower_bound
 from repro.core.tiling import solve_tiling as cold_solve
 from repro.library.problems import (
+    catalog,
     fully_connected,
     matmul,
     mttkrp,
@@ -49,6 +56,21 @@ RESULTS = Path(__file__).parent / "results"
 
 _POW2 = [16, 64, 256, 1024, 4096]
 _ODD = [12, 100, 500, 3000]
+
+
+def _write_bench_json(update: dict, smoke: bool) -> None:
+    """Merge ``update`` into BENCH_planner.json: in ``$REPRO_BENCH_DIR``
+    (any mode; the CI regression gate reads fresh smoke numbers there)
+    and, outside smoke mode, in the committed results."""
+    out_dirs = [Path(d) for d in (os.environ.get("REPRO_BENCH_DIR"),) if d]
+    if not smoke:
+        out_dirs.append(RESULTS)
+    for out_dir in out_dirs:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        path = out_dir / "BENCH_planner.json"
+        payload = json.loads(path.read_text()) if path.exists() else {}
+        payload.update(update)
+        path.write_text(json.dumps(payload, indent=2) + "\n")
 
 
 def _workload(rng: random.Random, count: int) -> list[PlanRequest]:
@@ -163,24 +185,51 @@ def test_e17_warm_cache_speedup_json(table, smoke):
         "planner_stats_total": stats,
     }
     payload["warm_queries_per_second"] = round(n_queries / t_warm, 1)
-    out_dir = os.environ.get("REPRO_BENCH_DIR")
-    if out_dir:
-        # The CI regression gate reads fresh smoke numbers from here.
-        Path(out_dir).mkdir(parents=True, exist_ok=True)
-        (Path(out_dir) / "BENCH_planner.json").write_text(
-            json.dumps(payload, indent=2) + "\n"
-        )
+    _write_bench_json(payload, smoke)
     # The warm batch re-solved nothing (any mode).
     assert stats["structure_solves"] == warm_stats_before["structure_solves"]
     if not smoke:
-        RESULTS.mkdir(exist_ok=True)
-        (RESULTS / "BENCH_planner.json").write_text(json.dumps(payload, indent=2) + "\n")
         assert n_queries >= 100
         assert speedup_engine >= 10.0, payload
         # The full service path adds envelope construction (~50us/query);
         # it must stay within 2x of the raw engine and >=7x over cold.
         assert speedup >= 7.0, payload
         assert t_warm <= 2.0 * t_warm_engine + 0.05, payload
+
+
+def test_e17_cold_structures_per_second(table, smoke):
+    """Fresh cold solves: one planner query per distinct catalog structure."""
+    nests = {}
+    for nest in catalog().values():
+        nests.setdefault(canonical_key(nest), nest)
+    passes = 3 if smoke else 5
+    best = float("inf")
+    for _ in range(passes):
+        planner = Planner()
+        t0 = time.perf_counter()
+        for nest in nests.values():
+            planner.plan(nest, 2**14)
+        best = min(best, time.perf_counter() - t0)
+        assert planner.stats.structure_solves == len(nests)
+    rate = len(nests) / best
+
+    t = table("e17_cold_structures", ["quantity", "value"])
+    t.add("distinct catalog structures", len(nests))
+    t.add("passes (best kept)", passes)
+    t.add("cold pass", f"{best * 1000:.1f} ms")
+    t.add("cold structures per second", f"{rate:.1f}")
+    _write_bench_json(
+        {
+            "cold_structures": {
+                "what": "fresh Planner, one query per distinct catalog structure",
+                "structures": len(nests),
+                "passes": passes,
+                "best_pass_seconds": round(best, 4),
+                "structures_per_second": round(rate, 1),
+            }
+        },
+        smoke,
+    )
 
 
 def test_e17_structure_sharing_across_disguises(table, smoke):

@@ -20,12 +20,18 @@ structure therefore serves every later query for it.  The solve:
 
 * enumerates ``vert(D)`` (:func:`_dual_vertices`): every choice of
   ``d + n`` of the ``2d + n`` facets is a candidate basis.  Candidates
-  are stacked in numpy chunks and solved exactly in integers by
-  fraction-free elimination, each on the small block its covering rows
-  leave free; feasibility and deduplication are integer tests too, and
-  ``Fraction`` coordinates are built only for the distinct vertices;
-* prunes pieces that are nowhere strictly minimal with one exact LP
-  each (:func:`_is_essential`), and returns a
+  are drawn in numpy blocks; a combinatorial prefilter drops those
+  whose free variables cannot give a nonsingular, feasible basis, and
+  the survivors are solved exactly in integers by fraction-free
+  elimination, each on the small block its covering rows leave free;
+  feasibility and deduplication are integer tests too, and ``Fraction``
+  coordinates are built only for the distinct vertices;
+* prunes pieces that are nowhere strictly minimal
+  (:func:`_essential_pieces`).  An exact integer screen
+  (:func:`_screen`) drops pieces another piece dominates coefficient
+  by coefficient and keeps pieces strictly lowest at a point of the
+  grid ``{0, 1, 64}^d``; only the pieces it leaves undecided cost an
+  exact LP (:func:`_is_essential`).  It returns a
   :class:`PiecewiseValueFunction`.
 
 The solve uses no floating point, BLAS or LAPACK, so the serving process
@@ -40,9 +46,10 @@ L1 L3, L1 L2, ...)``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, islice
+from itertools import chain, combinations, islice, product
 from typing import Sequence
 
 import numpy as np
@@ -171,17 +178,17 @@ class PiecewiseValueFunction:
         return f"f(beta) = min({body})"
 
 
-#: Facet subsets eliminated per batched numpy call; also the
-#: granularity of the ``mplp-enumeration`` deadline checkpoint.  The
-#: scratch of a chunk stays in the malloc arena of every handler thread
-#: that solves one: with 256 subsets the server's peak RSS on the
-#: benchmark's cold-structure workload was 0.9 MiB above 128's (while
-#: answering 5% more requests).
-_CHUNK = 128
+#: Facet subsets drawn and prefiltered per numpy block, and grid points
+#: evaluated per block of the prune's screen; also the granularity of
+#: the ``mplp-enumeration`` and ``mplp-prune`` deadline checkpoints.
+#: Only the prefilter's survivors of a block (15-23% on average on
+#: random nests of depth 4-6) are eliminated, which bounds the elimination scratch that stays
+#: in the malloc arena of every handler thread solving a block.
+_CHUNK = 512
 #: Deepest nest whose bases are eliminated in int64: the entries are
 #: minors of a 0/1 matrix of at most this size, and even a product of
 #: two Hadamard-bounded ones stays below 2**63.  Deeper nests use Python
-#: integers (numpy object arrays).
+#: integers (numpy object arrays), in the prune's screen too.
 _INT64_DEPTH = 20
 
 
@@ -259,19 +266,16 @@ def _dual_vertices(nest: LoopNest) -> list[tuple[tuple[Fraction, ...], tuple[Fra
     empty support never appear in covering rows, so their ``s_j`` is 0
     at every vertex (tight nonnegativity is the only option).
 
-    Subsets are stacked ``_CHUNK`` at a time and solved exactly in
-    integers.  A subset of k covering rows fixes the d+n-k variables of
-    its unit rows at 0, so its system reduces to the k x k block of the
-    covering rows on the free variables, padded to d x d with identity
-    rows (:func:`_solve_bases`).  Feasibility ``F num >= den rhs`` is
-    checked in integers too.  Deduplication is on the gcd-normalised key
-    ``(num, den)``, and ``Fraction`` coordinates are built only for
-    distinct vertices.
+    Subsets are drawn ``_CHUNK`` at a time, :func:`_prefilter` drops
+    those that cannot be a basis before any arithmetic, and the
+    survivors are solved exactly in integers (:func:`_block_vertices`).
+    Deduplication is on the gcd-normalised key ``(num, den)``, and
+    ``Fraction`` coordinates are built only for distinct vertices.
     """
     d = nest.depth
     rows, rhs = _facets(nest)
     dim = rows.shape[1]
-    rows_t = rows.T
+    cover = rows[:d] != 0
     vertices: list[tuple[tuple[Fraction, ...], tuple[Fraction, ...]]] = []
     seen: set[tuple[int, ...]] = set()
     subsets = combinations(range(rows.shape[0]), dim)
@@ -279,36 +283,117 @@ def _dual_vertices(nest: LoopNest) -> list[tuple[tuple[Fraction, ...], tuple[Fra
         chunk = np.array(list(islice(subsets, _CHUNK)), dtype=np.intp)
         if not len(chunk):
             break
-        checkpoint("mplp-enumeration")
-        # Subsets are sorted, so their k covering rows (indices < d) come
-        # first; put the k free variables first too (False sorts before
-        # True).  Positions past k are padding: point them at row 0, then
-        # overwrite them with identity rows and columns.
-        live = chunk[:, :d] < d
         tight = np.zeros((len(chunk), d + dim), dtype=bool)
         np.put_along_axis(tight, chunk, True, axis=1)
-        cols = np.argsort(tight[:, d:], axis=1, kind="stable")[:, :d]
-        system = np.empty((len(chunk), d, d + 1), dtype=rows.dtype)
-        block = system[:, :, :d]
-        block[...] = rows[np.where(live, chunk[:, :d], 0)[:, :, None], cols[:, None, :]]
-        block[~live[:, :, None] | ~live[:, None, :]] = 0
-        padded, position = np.nonzero(~live)
-        block[padded, position, position] = 1
-        system[:, :, d] = live
-        index, den, sub = _solve_bases(system)
-        num = np.zeros((len(index), dim), dtype=rows.dtype)
-        np.put_along_axis(num, cols[index], sub, axis=1)
-        feasible = np.all(num @ rows_t >= den[:, None] * rhs, axis=1)
-        den, num = den[feasible], num[feasible]
-        gcd = np.gcd(np.gcd.reduce(num, axis=1), den)
-        for key in np.column_stack([num // gcd[:, None], den // gcd]).tolist():
-            key = tuple(key)
-            if key in seen:
-                continue
-            seen.add(key)
-            point = tuple(_intern(Fraction(v, key[-1])) for v in key[:-1])
-            vertices.append((point[:d], point[d:]))
+        useful = _prefilter(tight, cover)
+        if useful.any():
+            for key in _block_vertices(chunk[useful], tight[useful], rows, rhs):
+                if key in seen:
+                    continue
+                seen.add(key)
+                point = tuple(_intern(Fraction(v, key[-1])) for v in key[:-1])
+                vertices.append((point[:d], point[d:]))
+        checkpoint("mplp-enumeration")
     return vertices
+
+
+def _block_vertices(
+    chunk: np.ndarray, tight: np.ndarray, rows: np.ndarray, rhs: np.ndarray
+) -> list[tuple[int, ...]]:
+    """The feasible points of a block of facet subsets, as gcd-normalised
+    integer keys ``(*num, den)`` in subset order (singular subsets give
+    none).
+
+    A subset of k covering rows fixes the d+n-k variables of its unit
+    rows at 0, so its system reduces to the k x k block of the covering
+    rows on the free variables, padded to d x d with identity rows, and
+    is solved exactly in integers (:func:`_solve_bases`).  Feasibility
+    ``F num >= den rhs`` is an integer test too.
+    """
+    d = len(rows) - rows.shape[1]
+    # Subsets are sorted, so their k covering rows (indices < d) come
+    # first; put the k free variables first too (False sorts before
+    # True).  Positions past k are padding: point them at row 0, then
+    # overwrite them with identity rows and columns.
+    live = chunk[:, :d] < d
+    cols = np.argsort(tight[:, d:], axis=1, kind="stable")[:, :d]
+    system = np.empty((len(chunk), d, d + 1), dtype=rows.dtype)
+    block = system[:, :, :d]
+    block[...] = rows[np.where(live, chunk[:, :d], 0)[:, :, None], cols[:, None, :]]
+    block[~live[:, :, None] | ~live[:, None, :]] = 0
+    padded, position = np.nonzero(~live)
+    block[padded, position, position] = 1
+    system[:, :, d] = live
+    index, den, sub = _solve_bases(system)
+    num = np.zeros((len(index), rows.shape[1]), dtype=rows.dtype)
+    np.put_along_axis(num, cols[index], sub, axis=1)
+    feasible = np.all(num @ rows.T >= den[:, None] * rhs, axis=1)
+    den, num = den[feasible], num[feasible]
+    gcd = np.gcd(np.gcd.reduce(num, axis=1), den)
+    return list(map(tuple, np.column_stack([num // gcd[:, None], den // gcd]).tolist()))
+
+
+def _prefilter(tight: np.ndarray, cover: np.ndarray) -> np.ndarray:
+    """Which facet subsets can be a feasible, nonsingular basis.
+
+    ``tight[k]`` marks the facets of subset k (covering rows first, then
+    one unit row per variable) and ``cover`` is the 0/1 pattern of the
+    covering rows, as booleans.  A variable is free when its unit row is
+    not in the subset.  A subset survives only if every covering row
+    contains a free variable (else the row is 0 at the point:
+    infeasible, or singular if the row is tight) and every free variable
+    lies in a tight covering row (else its column of the system is 0).
+    Two boolean matrix products per block; dropped subsets yield no
+    vertex, so filtering changes no output.
+    """
+    d = len(cover)
+    free = ~tight[:, d:]
+    return (free @ cover.T).all(axis=1) & (tight[:, :d] @ cover | ~free).all(axis=1)
+
+
+def _scaled_pieces(pieces: list[AffinePiece], d: int) -> np.ndarray:
+    """``(constant, *coeffs)`` of every piece times the lcm of all their
+    denominators: an integer matrix, int64 when every value on the grid
+    ``{0, 1, 64}^d`` fits (and the nest is at most ``_INT64_DEPTH``
+    deep), Python integers otherwise."""
+    scale = math.lcm(*(v.denominator for p in pieces for v in (p.constant, *p.coeffs)))
+    scaled = [
+        [v.numerator * (scale // v.denominator) for v in (p.constant, *p.coeffs)]
+        for p in pieces
+    ]
+    fits = max(map(abs, chain.from_iterable(scaled))) * (1 + 64 * d) < 2**63
+    return np.array(scaled, dtype=np.int64 if fits and d <= _INT64_DEPTH else object)
+
+
+def _screen(pieces: list[AffinePiece], d: int) -> np.ndarray:
+    """LP-free verdicts on the essentiality of every piece, exactly.
+
+    Returns one verdict per piece: ``-1`` if another piece is ``<=`` it in
+    the constant and in every coefficient (so it is never strictly
+    minimal on ``beta >= 0``), ``+1`` if it is strictly below every other
+    piece at some point of ``{0, 1, 64}^d`` (a point of
+    :func:`_is_essential`'s box where its ``delta`` is positive), and 0
+    when neither test decides.  Pieces must be distinct.  Values are
+    compared exactly, in integers (:func:`_scaled_pieces`), ``_CHUNK``
+    grid points at a time; the grid stops early once every piece is
+    decided.  Its ``3**d`` points are always fewer than the
+    ``C(2d + n, d + n)`` bases the enumeration visits.
+    """
+    weights = _scaled_pieces(pieces, d)
+    below = (weights[None, :, :] <= weights[:, None, :]).all(axis=2)
+    np.fill_diagonal(below, False)
+    verdict = np.where(below.any(axis=1), -1, 0).astype(np.int8)
+    grid = product((0, 1, 64), repeat=d)
+    while not verdict.all():
+        points = np.array([(1, *g) for g in islice(grid, _CHUNK)], dtype=weights.dtype)
+        if not len(points):
+            break
+        values = weights @ points.T
+        lowest = values.min(axis=0)
+        unique = (values == lowest).sum(axis=0) == 1
+        verdict[values.argmin(axis=0)[unique]] = 1
+        checkpoint("mplp-prune")
+    return verdict
 
 
 def _is_essential(piece_idx: int, pieces: list[AffinePiece], d: int) -> bool:
@@ -345,6 +430,23 @@ def _is_essential(piece_idx: int, pieces: list[AffinePiece], d: int) -> bool:
     return delta > 0
 
 
+def _essential_pieces(pieces: list[AffinePiece], d: int) -> list[AffinePiece]:
+    """The pieces of ``pieces`` (distinct) that are strictly minimal
+    somewhere on ``[0, 64]^d``, in input order.
+
+    :func:`_screen` decides almost every piece; each undecided one costs
+    one exact LP (:func:`_is_essential`) against the full list, through
+    the module-global ``solve_lp`` that profilers patch to time the
+    prune.
+    """
+    verdict = _screen(pieces, d)
+    return [
+        p
+        for idx, (p, v) in enumerate(zip(pieces, verdict.tolist()))
+        if v > 0 or (v == 0 and _is_essential(idx, pieces, d))
+    ]
+
+
 def parametric_tile_exponent(nest: LoopNest, prune: bool = True) -> PiecewiseValueFunction:
     """Compute the exact piecewise-linear tile-size exponent ``f(beta)``.
 
@@ -355,8 +457,8 @@ def parametric_tile_exponent(nest: LoopNest, prune: bool = True) -> PiecewiseVal
         the nest are ignored — ``beta`` is the free parameter.
     prune:
         Drop pieces that are nowhere uniquely minimal on the orthant
-        (exact LP domination test).  Disable to inspect the full vertex
-        set of the dual polyhedron.
+        (exact integer screen, then an LP for undecided pieces).  Disable
+        to inspect the full vertex set of the dual polyhedron.
     """
     raw = _dual_vertices(nest)
     pieces = [
@@ -375,9 +477,7 @@ def parametric_tile_exponent(nest: LoopNest, prune: bool = True) -> PiecewiseVal
         unique.setdefault((p.constant, p.coeffs), p)
     pieces = list(unique.values())
     if prune and len(pieces) > 1:
-        essential = [
-            p for idx, p in enumerate(pieces) if _is_essential(idx, pieces, nest.depth)
-        ]
+        essential = _essential_pieces(pieces, nest.depth)
         if essential:  # pragma: no branch - at least one piece always survives
             pieces = essential
     pieces.sort(key=lambda p: (p.constant, p.coeffs))

@@ -30,6 +30,7 @@ def _fake_bench_dir(tmp_path: Path, scale: float = 1.0) -> Path:
     planner = {
         "warm_queries_per_second": 4_000.0 * scale,
         "speedup_engine_vs_solve_tiling": 12.0 * scale,
+        "cold_structures": {"structures_per_second": 100.0 * scale},
     }
     frontend = {
         "cold": {"bands_per_second": 400.0 * scale},

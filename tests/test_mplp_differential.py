@@ -4,7 +4,9 @@
 arithmetic.  The oracles below are the original implementation, kept
 verbatim: one exact ``Fraction`` solve per facet subset, then one exact
 LP per piece.  Every comparison is on the full piece tuples,
-``source_zeta``/``source_s`` and order included.
+``source_zeta``/``source_s`` and order included.  The prune's exact
+screen is checked verdict by verdict against the reference LP, and the
+enumeration's prefilter subset by subset against the reference solve.
 """
 
 from __future__ import annotations
@@ -243,6 +245,95 @@ class TestAgainstOracle:
         assert (vertex[:depth], vertex[depth:]) in mplp._dual_vertices(nest)
 
 
+@lru_cache(maxsize=None)
+def _reference_verdicts(supports: tuple[tuple[int, ...], ...], depth: int) -> tuple[bool, ...]:
+    """``_reference_is_essential`` of every unpruned oracle piece."""
+    full = _oracle(supports, depth)[1]
+    return tuple(_reference_is_essential(idx, full, depth) for idx in range(len(full)))
+
+
+def assert_screen_matches_oracle(nest: LoopNest) -> None:
+    """Every decided screen verdict is the reference LP's verdict."""
+    supports = tuple(tuple(a.support) for a in nest.arrays)
+    full = _oracle(supports, nest.depth)[1]
+    if len(full) < 2:
+        return
+    verdicts = mplp._screen(full, nest.depth).tolist()
+    for verdict, essential in zip(verdicts, _reference_verdicts(supports, nest.depth)):
+        if verdict:
+            assert (verdict > 0) == essential
+
+
+def _dropped_subsets(nest: LoopNest) -> list[tuple[int, ...]]:
+    """Facet subsets the enumeration's prefilter drops."""
+    rows, _ = mplp._facets(nest)
+    subsets = list(combinations(range(rows.shape[0]), rows.shape[1]))
+    tight = np.zeros((len(subsets), rows.shape[0]), dtype=bool)
+    for k, subset in enumerate(subsets):
+        tight[k, list(subset)] = True
+    useful = mplp._prefilter(tight, rows[: nest.depth] != 0)
+    return [subset for subset, keep in zip(subsets, useful) if not keep]
+
+
+def _is_vertex_basis(facets: list, subset: tuple[int, ...]) -> bool:
+    """Whether a facet subset is nonsingular with a feasible solution."""
+    try:
+        x = solve_square([facets[k][0] for k in subset], [facets[k][1] for k in subset])
+    except SingularMatrixError:
+        return False
+    return all(
+        sum((r * xv for r, xv in zip(row, x)), start=_ZERO) >= rhs for row, rhs in facets
+    )
+
+
+class TestScreenAgainstOracle:
+    @pytest.mark.parametrize("name", sorted(CATALOG))
+    def test_catalog_structure(self, name):
+        assert_screen_matches_oracle(CATALOG[name])
+
+    @pytest.mark.parametrize("index", range(len(RANDOM)))
+    def test_random_structure(self, index):
+        assert_screen_matches_oracle(RANDOM[index])
+
+    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(nest=structures())
+    def test_hypothesis_structure(self, nest):
+        assert_screen_matches_oracle(nest)
+
+    def test_catalog_needs_no_lp(self):
+        for nest in CATALOG.values():
+            pieces = list(parametric_tile_exponent(nest, prune=False).pieces)
+            if len(pieces) > 1:
+                assert mplp._screen(pieces, nest.depth).all()
+
+    def test_python_integer_path_agrees(self, monkeypatch):
+        pieces = {
+            name: list(parametric_tile_exponent(nest, prune=False).pieces)
+            for name, nest in CATALOG.items()
+        }
+        depth = {name: nest.depth for name, nest in CATALOG.items()}
+        expected = {name: mplp._screen(p, depth[name]).tolist() for name, p in pieces.items()}
+        monkeypatch.setattr(mplp, "_INT64_DEPTH", 0)
+        for name, p in pieces.items():
+            assert mplp._scaled_pieces(p, depth[name]).dtype == object
+            assert mplp._screen(p, depth[name]).tolist() == expected[name]
+
+
+_PREFILTER_STRUCTURES = {
+    **{f"catalog-{name}": nest for name, nest in CATALOG.items()},
+    **{f"random-6x4-{k}": nest for k, nest in enumerate(RANDOM[2::3][:10])},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PREFILTER_STRUCTURES))
+def test_prefilter_drops_only_non_bases(name):
+    nest = _PREFILTER_STRUCTURES[name]
+    facets = _reference_facets(nest)
+    dropped = _dropped_subsets(nest)
+    assert dropped
+    assert not any(_is_vertex_basis(facets, subset) for subset in dropped)
+
+
 # ---------------------------------------------------------------------------
 # Arithmetic paths and the prune's LP hook.
 
@@ -267,17 +358,28 @@ def test_solve_bases_drops_singular_systems_and_keeps_order():
 
 
 def test_prune_solves_its_lps_through_the_module_global(monkeypatch):
-    # Profilers wrap repro.core.mplp.solve_lp to time the prune.
+    # Profilers wrap repro.core.mplp.solve_lp to time the prune.  The
+    # screen decides 2*beta (lowest at 0) and 3/10 + beta/2 (lowest at 1
+    # and 64); 1/8 + beta, lowest only on (1/8, 7/20), needs the LP.
     calls = []
 
     def counting_solve_lp(*args, **kwargs):
         calls.append(args)
         return solve_lp(*args, **kwargs)
 
+    def piece(constant, coeff):
+        return AffinePiece(
+            constant=Fraction(constant), coeffs=(Fraction(coeff),),
+            source_zeta=(Fraction(coeff),), source_s=(),
+        )
+
+    pieces = [piece(0, 2), piece(Fraction(1, 8), 1), piece(Fraction(3, 10), Fraction(1, 2))]
     monkeypatch.setattr(mplp, "solve_lp", counting_solve_lp)
-    pvf = parametric_tile_exponent(CATALOG["matmul"])
-    assert len(calls) == len(parametric_tile_exponent(CATALOG["matmul"], prune=False).pieces)
-    assert len(pvf.pieces) == 5
+    assert mplp._screen(pieces, 1).tolist() == [1, 0, 1]
+    kept = mplp._essential_pieces(pieces, 1)
+    assert len(calls) == 1
+    assert kept == [p for idx, p in enumerate(pieces) if _reference_is_essential(idx, pieces, 1)]
+    assert kept == pieces
 
 
 # ---------------------------------------------------------------------------
@@ -298,6 +400,12 @@ def test_traced_solve_checkpoints_once_per_chunk():
     with trace_scope() as trace:
         parametric_tile_exponent(nest)
     assert trace.stage_counts["mplp-enumeration"] >= math.ceil(subsets / mplp._CHUNK)
+
+
+def test_traced_solve_ticks_the_prune():
+    with trace_scope() as trace:
+        parametric_tile_exponent(CATALOG["tucker_core"])
+    assert trace.stage_counts["mplp-prune"] >= 1
 
 
 def test_deep_cold_nest_honours_a_1ms_deadline():
