@@ -25,6 +25,11 @@ A second leg times fresh cold solves: a new ``Planner`` answers one
 query per distinct catalog structure, best of several passes, as
 ``cold_structures.structures_per_second`` (gated in CI as
 ``planner.cold_structures_per_second``).
+
+A third leg, ``warm_novel_queries_per_second`` (not gated), sends warm
+structures bounds that no earlier query used.  The warm leg replays the
+same requests, so its betas come from the planner's log memo; here each
+one pays ``log_ratio``, as a never-seen request to the service does.
 """
 
 import json
@@ -195,6 +200,73 @@ def test_e17_warm_cache_speedup_json(table, smoke):
         # it must stay within 2x of the raw engine and >=7x over cold.
         assert speedup >= 7.0, payload
         assert t_warm <= 2.0 * t_warm_engine + 0.05, payload
+
+
+def _novel_workload(rng: random.Random, count: int, used: set[int]) -> list[PlanRequest]:
+    """``_workload``'s structures with bounds no earlier query used.
+
+    Every bound is fresh, so each beta misses the planner's log memo and
+    pays ``log_ratio`` in full — the cost the repeated warm leg hides.
+    """
+
+    def size() -> int:
+        while True:
+            value = int(2 ** rng.uniform(3, 12))
+            if value not in used:
+                used.add(value)
+                return value
+
+    makers = [
+        lambda: matmul(size(), size(), size()),
+        lambda: syrk(size(), size()),
+        lambda: fully_connected(size(), size(), size()),
+        lambda: mttkrp(size(), size(), size(), size()),
+        lambda: nbody(size(), size()),
+    ]
+    caches = [2**12, 2**14, 2**16]
+    return [
+        PlanRequest(nest=makers[idx % len(makers)](), cache_words=rng.choice(caches))
+        for idx in range(count)
+    ]
+
+
+def test_e17_warm_novel_queries_per_second(table, smoke):
+    """Warm structures, never-repeated bounds: the β cost the memo hides."""
+    rng = random.Random("bench-planner-novel")
+    used: set[int] = set(_POW2 + _ODD)
+    n_queries = 60 if smoke else 240
+    session = Session(workers=0)
+    # Warm structures and primal maps on a separate novel sample.
+    session.batch(_novel_workload(rng, n_queries, used))
+    before = session.stats.as_dict()
+    passes = 5 if smoke else 3
+    batches = [_novel_workload(rng, n_queries, used) for _ in range(passes)]
+    t0 = time.perf_counter()
+    for requests in batches:
+        session.batch(requests)
+    elapsed = time.perf_counter() - t0
+    stats = session.stats.as_dict()
+    assert stats["structure_solves"] == before["structure_solves"]
+    total = n_queries * passes
+    rate = total / elapsed
+
+    t = table("e17_warm_novel", ["quantity", "value"])
+    t.add("queries (every bound fresh)", total)
+    t.add("warm service (Session.batch)", f"{elapsed * 1000 / total:.3f} ms/query")
+    t.add("warm novel queries per second", f"{rate:.1f}")
+    _write_bench_json(
+        {
+            "warm_novel": {
+                "what": "Session.batch on warm structures, every loop bound never seen before",
+                "queries": total,
+                "seconds": round(elapsed, 4),
+                "ms_per_query": round(elapsed * 1000 / total, 4),
+                "primal_lp_solves": stats["primal_lp_solves"] - before["primal_lp_solves"],
+            },
+            "warm_novel_queries_per_second": round(rate, 1),
+        },
+        smoke,
+    )
 
 
 def test_e17_cold_structures_per_second(table, smoke):

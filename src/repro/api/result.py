@@ -11,9 +11,12 @@ and on the wire from ``repro-tile serve``::
       "meta": { "elapsed_ms": 0.21, "cache_hit": true }
     }
 
-``payload`` and ``meta`` are normalised to plain JSON types at
-construction, so ``Result.from_json(r.to_json()) == r`` holds exactly —
-including every Fraction, which travels as an exact ``"p/q"`` string.
+``payload`` and ``meta`` are plain JSON types, so
+``Result.from_json(r.to_json()) == r`` holds exactly — including every
+Fraction, which travels as an exact ``"p/q"`` string.  The constructor
+normalises them (:func:`~repro.api.wire.json_safe`); the
+:class:`~repro.api.Session` payload builders already emit lists and
+``"p/q"`` strings and pass ``normalise=False`` to skip that walk.
 The in-process rich object behind a result (a
 :class:`~repro.plan.TilePlan`, a traffic report, ...) rides along on
 ``detail``; it is excluded from serialization and equality.
@@ -22,7 +25,7 @@ The in-process rich object behind a result (a
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from typing import Any, Mapping
 
@@ -47,12 +50,16 @@ class Result:
     #: The rich in-process object (TilePlan, TrafficReport, ...); not
     #: serialized, not compared, absent after a JSON round trip.
     detail: Any = field(default=None, compare=False, repr=False)
+    #: False when ``payload`` and ``meta`` are already plain JSON types
+    #: (lists, ``"p/q"`` strings, scalars): skips the normalising walk.
+    normalise: InitVar[bool] = True
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, normalise: bool) -> None:
         if self.kind not in KINDS:
             raise RequestError(f"unknown result kind {self.kind!r}; expected one of {KINDS}")
-        object.__setattr__(self, "payload", json_safe(self.payload, "payload"))
-        object.__setattr__(self, "meta", json_safe(self.meta, "meta"))
+        if normalise:
+            object.__setattr__(self, "payload", json_safe(self.payload, "payload"))
+            object.__setattr__(self, "meta", json_safe(self.meta, "meta"))
 
     # -- serialization ------------------------------------------------------
 

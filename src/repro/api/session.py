@@ -237,8 +237,10 @@ class Session:
         request; each becomes a ``kind`` Result whose meta is
         ``elapsed_ms`` (amortised over ``requests``), then the kind's own
         ``meta`` keys, then ``degraded``/``degraded_reasons`` if a pool
-        broke.  An expired deadline maps every request to the structured
-        504 envelope.
+        broke.  Payload builders emit plain JSON types themselves
+        (lists, ``"p/q"`` strings), so no normalising walk runs here.
+        An expired deadline maps every request to the structured 504
+        envelope.
         """
         t0 = time.perf_counter()
         for request in requests:
@@ -257,6 +259,7 @@ class Session:
                 payload=payload,
                 meta={"elapsed_ms": elapsed_ms, **meta, **degraded},
                 detail=detail,
+                normalise=False,
             )
             for payload, meta, detail in answers
         ]
@@ -271,10 +274,10 @@ class Session:
         # that unambiguous next to an aggregate-budget k_hat.
         return {
             "tight": cert.tight,
-            "primal": cert.primal_value,
-            "dual": cert.dual_value,
-            "zeta": list(cert.dual.zeta),
-            "s": list(cert.dual.s),
+            "primal": str(cert.primal_value),
+            "dual": str(cert.dual_value),
+            "zeta": [str(z) for z in cert.dual.zeta],
+            "s": [str(s) for s in cert.dual.s],
             "complementary_slackness": cert.complementary_slackness,
             "cache_words": cert.cache_words,
             "budget": "per-array",
@@ -539,11 +542,21 @@ class Session:
     def distributed(
         self, request: DistributedRequest, *, deadline_ms: float | None = None
     ) -> Result:
-        """Processor-grid traffic against the distributed lower bound."""
+        """Processor-grid traffic against the distributed lower bound.
+
+        The bound's exponent ``k_hat`` at ``memory_words`` is one piece
+        evaluation on the plan cache (no LP on a warm structure), and
+        travels exactly as ``lower_bound_k_hat``.
+        """
 
         def run(events):
+            k_hat = self.planner.exponent(request.nest, request.memory_words)
             report: DistributedReport = simulate_grid(
-                request.nest, request.processors, request.memory_words, grid=request.grid
+                request.nest,
+                request.processors,
+                request.memory_words,
+                grid=request.grid,
+                k_hat=k_hat,
             )
             payload = {
                 "nest": request.nest.to_json(),
@@ -553,6 +566,7 @@ class Session:
                 "grid_searched": request.grid is None,
                 "words_per_processor": report.words_per_processor,
                 "lower_bound_words": report.lower_bound_words,
+                "lower_bound_k_hat": str(report.k_hat),
                 "ratio": report.ratio,
             }
             return [(payload, {}, report)]

@@ -35,7 +35,7 @@ from typing import Iterable, Sequence
 from ..util.rationals import pow_fraction
 from .alpha_family import optimal_tile_family
 from .loopnest import LoopNest
-from .tiling import BUDGETS, TileShape, integer_repair, solve_tiling
+from .tiling import BUDGETS, TileShape, _max_block, integer_repair, solve_tiling
 
 __all__ = [
     "coordinate_descent_tile",
@@ -43,21 +43,6 @@ __all__ = [
     "best_integer_tile",
     "nested_integer_repair",
 ]
-
-
-def _max_feasible(
-    nest: LoopNest, blocks: list[int], i: int, cache_words: int, budget: str
-) -> int:
-    lo, hi = blocks[i], nest.bounds[i]
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        trial = blocks.copy()
-        trial[i] = mid
-        if TileShape(nest=nest, blocks=tuple(trial)).is_feasible(cache_words, budget):
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
 
 
 def coordinate_descent_tile(
@@ -87,7 +72,7 @@ def coordinate_descent_tile(
         while changed:
             changed = False
             for i in order:
-                grown = _max_feasible(nest, blocks, i, cache_words, budget)
+                grown = _max_block(nest, blocks, i, cache_words, budget)
                 if grown > blocks[i]:
                     blocks[i] = grown
                     changed = True

@@ -14,11 +14,12 @@ the bound is tight and the optimal tile is a rectangle.
 Real machines need integer block sizes.  :func:`solve_tiling` therefore
 follows the exact LP solve with an integer *round-and-grow* repair:
 clamp each side to ``min(L_i, max(1, round(M**lambda_i)))``, shrink if
-the rounded start overshoots the budget, then greedily binary-search
-each side upward while every per-array footprint still fits.  The
-result is a maximal feasible tile anchored at the analytic optimum —
-within a ``2**d`` factor of the fractional volume, the usual
-constant-factor slack of the model.
+the rounded start overshoots the budget, then grow each side in turn
+to the largest value (a closed form, footprints being linear in each
+side) at which every footprint still fits.  The result is a maximal
+feasible tile anchored at the analytic optimum — within a ``2**d``
+factor of the fractional volume, the usual constant-factor slack of
+the model.
 """
 
 from __future__ import annotations
@@ -97,8 +98,8 @@ class TileShape:
     def footprints(self) -> tuple[int, ...]:
         """Per-array footprints, computed once per (frozen) shape.
 
-        Feasibility probes evaluate footprints repeatedly (binary
-        searches in :func:`solve_tiling`, enumeration oracles), so the
+        Feasibility probes evaluate footprints repeatedly (enumeration
+        oracles, the tuner's candidate checks), so the
         tuple is memoised on first use — the dataclass is frozen, so the
         value can never go stale.
         """
@@ -208,41 +209,33 @@ def _max_block(
 ) -> int:
     """Largest feasible value for ``blocks[i]`` holding the others fixed.
 
-    Footprints are linear in the probed side, so each probe is an O(n)
-    multiply against per-array partial products (all other sides fixed)
-    instead of a fresh :class:`TileShape` product evaluation.
+    Footprints are linear in the probed side: an array indexed by loop
+    ``i`` holds ``partial * blocks[i]`` words (``partial`` the product
+    of its other sides), any other array a fixed ``partial``.  So the
+    answer has a closed form, clamped to ``[blocks[i], L_i]``:
+
+    * per-array: the minimum of ``M // partial`` over the arrays
+      indexed by ``i``;
+    * aggregate: ``(M - sum of the fixed footprints) // (sum of the
+      indexed partials)``.
+
+    The starting value ``blocks[i]`` must be feasible.
     """
     lo, hi = blocks[i], nest.bounds[i]
-    partial = [
-        prod(blocks[k] for k in arr.support if k != i) for arr in nest.arrays
-    ]
-    scaled = [i in arr.support for arr in nest.arrays]
-
-    if budget == "per-array":
-
-        def ok(value: int) -> bool:
-            return all(
-                p * (value if s else 1) <= cache_words
-                for p, s in zip(partial, scaled)
-            )
-
-    else:  # aggregate
-
-        def ok(value: int) -> bool:
-            return (
-                sum(p * (value if s else 1) for p, s in zip(partial, scaled))
-                <= cache_words
-            )
-
-    if not ok(lo):  # pragma: no cover - callers start from a feasible point
-        raise AssertionError("starting block infeasible")
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if ok(mid):
-            lo = mid
+    best = hi
+    fixed = scaled = 0
+    for arr in nest.arrays:
+        partial = prod(blocks[k] for k in arr.support if k != i)
+        if i in arr.support:
+            scaled += partial
+            if budget == "per-array":
+                best = min(best, cache_words // partial)
         else:
-            hi = mid - 1
-    return lo
+            fixed += partial
+    if budget != "per-array":
+        # Every loop indexes some array (a LoopNest invariant): scaled >= 1.
+        best = min(best, (cache_words - fixed) // scaled)
+    return max(lo, best)
 
 
 def integer_repair(
@@ -258,13 +251,13 @@ def integer_repair(
     never rounds to 0, even when a loop bound is smaller than the
     analytic tile extent (skewed-bound nests hand us ``f > L``
     routinely, and extents below 1 must still yield a unit block) — then
-    grow each side to the largest value that keeps the tile within
-    budget, iterating to a fixpoint.  Rounding to nearest can round
-    *up* (fractional part above one half, or a tie landing on the even
-    integer above) and overshoot the budget, and defensive callers may
-    pass an outright infeasible fractional tile; a shrink pre-pass
-    halves the largest sides until the start fits, so the returned tile
-    is feasible unconditionally.
+    grow each side in turn to the largest value that keeps the tile
+    within budget (one pass reaches the fixpoint).  Rounding to nearest
+    can round *up* (fractional part above one half, or a tie landing on
+    the even integer above) and overshoot the budget, and defensive
+    callers may pass an outright infeasible fractional tile; a shrink
+    pre-pass halves the largest sides until the start fits, so the
+    returned tile is feasible unconditionally.
     Shared by :func:`solve_tiling` and the plan cache (:mod:`repro.plan`),
     which substitutes cached parametric exponents instead of re-solving
     the LP.
@@ -293,14 +286,10 @@ def integer_repair(
             return TileShape(nest=nest, blocks=tuple(blocks))
         i = max(shrinkable, key=lambda k: blocks[k])
         blocks[i] = max(lo[i], blocks[i] // 2)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(nest.depth):
-            best = _max_block(nest, blocks, i, cache_words, budget)
-            if best > blocks[i]:
-                blocks[i] = best
-                changed = True
+    # One growth pass is already a fixpoint: growing later sides only
+    # shrinks the room left for earlier ones, which already fill it.
+    for i in range(nest.depth):
+        blocks[i] = _max_block(nest, blocks, i, cache_words, budget)
     return TileShape(nest=nest, blocks=tuple(blocks))
 
 

@@ -18,6 +18,7 @@ baseline the benchmarks contrast against.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from math import prod
 
 from ..core.bounds import tile_exponent
@@ -42,6 +43,8 @@ class DistributedReport:
     grid: tuple[int, ...]
     words_per_processor: int
     lower_bound_words: float
+    #: The exact §4 exponent at ``M_local`` behind the bound.
+    k_hat: Fraction
 
     @property
     def ratio(self) -> float:
@@ -62,37 +65,54 @@ def distributed_lower_bound(nest: LoopNest, P: int, M_local: int) -> float:
 
     Composes the §4 exponent at the local memory size with balanced
     work; also floored by the balanced share of the largest array a
-    processor cannot own (read-once floor divided by P).
+    processor cannot own (read-once floor divided by P).  Solves the
+    exponent's LP.
     """
+    _check_machine(P, M_local)
+    return _bound_from_k_hat(nest, P, M_local, tile_exponent(nest, M_local))
+
+
+def _check_machine(P: int, M_local: int) -> None:
     if P < 1:
         raise ValueError("P must be >= 1")
     if M_local < 2:
         raise ValueError("M_local must be >= 2")
-    k_hat = tile_exponent(nest, M_local)
-    from fractions import Fraction
 
-    hbl = (nest.num_operations / P) * pow_fraction(M_local, Fraction(1) - k_hat)
+
+def _bound_from_k_hat(nest: LoopNest, P: int, M_local: int, k_hat: Fraction) -> float:
+    """:func:`distributed_lower_bound` for a known exponent ``k_hat``."""
+    hbl = (nest.num_operations / P) * pow_fraction(M_local, 1 - k_hat)
     read_floor = nest.total_footprint() / P
     return max(hbl, read_floor)
 
 
 def simulate_grid(
-    nest: LoopNest, P: int, M_local: int, grid: tuple[int, ...] | None = None
+    nest: LoopNest,
+    P: int,
+    M_local: int,
+    grid: tuple[int, ...] | None = None,
+    k_hat: Fraction | None = None,
 ) -> DistributedReport:
     """Traffic of a grid execution (optimal grid by default) vs the bound.
 
     The per-processor traffic is the §7 footprint model of
     :func:`repro.parallel.grid.grid_cost`: words a processor must
-    receive beyond its balanced owned share.
+    receive beyond its balanced owned share.  ``k_hat`` is the
+    exponent at ``M_local`` when the caller already has it (the
+    service reads it off the plan cache); otherwise the LP solves it.
     """
     cost: GridCost = grid_cost(nest, grid) if grid is not None else optimal_grid(nest, P)
     actual_P = prod(cost.grid)
+    _check_machine(actual_P, M_local)
+    if k_hat is None:
+        k_hat = tile_exponent(nest, M_local)
     return DistributedReport(
         nest_name=nest.name,
         P=actual_P,
         grid=cost.grid,
         words_per_processor=cost.comm_words,
-        lower_bound_words=distributed_lower_bound(nest, actual_P, M_local),
+        lower_bound_words=_bound_from_k_hat(nest, actual_P, M_local, k_hat),
+        k_hat=k_hat,
     )
 
 

@@ -448,10 +448,11 @@ class Planner:
         self.stats = PlannerStats()
         self._structures: OrderedDict[str, _StructurePlan] = OrderedDict()
         self._canon_memo: dict[tuple, Canonicalization] = {}
-        # Beta memo: sweeps repeat the same (bound, cache) pairs
-        # constantly and log_ratio is pure, so memoising it off the hot
-        # path is free speedup.  (pow_fraction carries its own
-        # lru_cache, so fractional-block evaluation needs no twin here.)
+        # Beta memo: sweeps repeat the same (bound, cache) pairs, and a
+        # repeat then skips log_ratio's float approximation of an
+        # inexact log (tens of µs; the exactness test itself is one
+        # divisibility check).  pow_fraction carries its own lru_cache,
+        # so fractional-block evaluation needs no twin here.
         self._log_memo: dict[tuple[int, int], Fraction] = {}
         self._lock = threading.RLock()
         # In-flight structure solves, for coalescing: canonical key ->
@@ -783,6 +784,22 @@ class Planner:
             lower_bound=lower_bound,
             cache_hit=hit,
         )
+
+    def exponent(self, nest: LoopNest, cache_words: int) -> Fraction:
+        """The exact per-array exponent ``k_hat`` at ``cache_words`` alone.
+
+        One piece evaluation of ``f(beta)`` on the cached structure:
+        no primal recovery, no integer repair, no LP on a warm
+        structure.  Equal to :func:`repro.core.bounds.tile_exponent`.
+        """
+        if cache_words < 2:
+            raise ValueError("planning needs cache_words >= 2")
+        with self._lock:
+            self.stats.queries += 1
+        canon = self.canonicalization(nest)
+        structure, _ = self._structure(canon)
+        betas = self._betas(nest.bounds, cache_words)
+        return self._value_at(structure, canon.to_canonical(tuple(betas)))
 
     def plan_request(self, request: PlanRequest, include_bound: bool = True) -> TilePlan:
         return self.plan(

@@ -856,16 +856,18 @@ class ServiceServer:
             elif status == 503:
                 headers = {"Retry-After": "5"}
             cache_entry = None
-            if status == 200 and route in _CACHEABLE_ROUTES:
-                cache_entry = (body["kind"], json.dumps(body["payload"]))
             if trace is not None:
                 self._stamp_trace_meta(body, trace)
                 headers = dict(headers or {})
                 headers["X-Trace-Id"] = trace.trace_id
-                with span("serialize"):
+            with span("serialize"):
+                if status == 200 and route in _CACHEABLE_ROUTES:
+                    # The payload is serialised once, for the response
+                    # cache and for these bytes alike.
+                    cache_entry = (body["kind"], json.dumps(body["payload"]))
+                    data = _splice_envelope(*cache_entry, json.dumps(body["meta"]))
+                else:
                     data = _dump(body)
-            else:
-                data = _dump(body)
         finally:
             if trace_token is not None:
                 obs_trace.deactivate(trace_token)

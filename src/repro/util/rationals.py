@@ -11,10 +11,13 @@ All linear programs in this library are solved in exact rational
 arithmetic, so log-space inputs must be rational.  We provide two ways
 to obtain a rational ``beta``:
 
-1. :func:`exact_log` — when ``L`` is an exact power ``M**(p/q)`` with
-   ``M**(1/q)`` an integer, returns the exact ``Fraction(p, q)``.  All
-   golden tests use such configurations (powers of a common base), so
-   the paper's closed forms reproduce with zero error.
+1. :func:`exact_log` — when ``L`` is an exact power ``M**(p/q)``,
+   returns the exact ``Fraction(p, q)``.  It writes ``M = r**k`` with
+   ``r`` not a perfect power (memoised per base: cache sizes are few),
+   so ``L`` has a rational log exactly when ``L = r**m``, and the
+   answer is ``m/k``.  One divisibility test rejects most other
+   values.  All golden tests use such configurations (powers of a
+   common base), so the paper's closed forms reproduce with zero error.
 2. :func:`approx_log` — otherwise, a ``Fraction`` approximation of the
    real logarithm with at least ``digits`` correct decimal digits.
 
@@ -93,44 +96,86 @@ def is_power(value: int, base: int) -> int | None:
     return k if v == 1 else None
 
 
+@lru_cache(maxsize=1024)
+def _perfect_power(base: int) -> tuple[int, int]:
+    """``(root, k)`` with ``base == root**k`` and ``k`` as large as possible.
+
+    The largest ``k`` leaves a ``root`` that is not itself a perfect
+    power.  Called with cache sizes, which are few, so the
+    ``O(log base)`` root extractions are paid once per base.
+    """
+    for k in range(base.bit_length() - 1, 1, -1):
+        root = integer_nth_root(base, k)
+        if root**k == base:
+            return root, k
+    return base, 1
+
+
 def exact_log(value: int, base: int, max_den: int = 64) -> Fraction | None:
     """Exact ``log_base(value)`` as a ``Fraction``, if one exists.
 
-    Searches denominators ``q`` up to ``max_den``: returns ``p/q`` when
-    ``value**q == base**p`` exactly.  Returns ``None`` if ``value`` is
-    not an exact rational power of ``base``.
+    ``value**q == base**p`` with ``gcd(p, q) == 1`` holds exactly when
+    ``value == r**p`` and ``base == r**q`` for one integer ``r``.  With
+    ``base == root**k`` (``root`` not a perfect power, see
+    :func:`_perfect_power`) that ``r`` is a power of ``root``, so the
+    log is rational exactly when ``value == root**m``; it is then
+    ``m/k``.  Returns that Fraction when its reduced denominator is at
+    most ``max_den``, else ``None``.
     """
     if value <= 0 or base <= 1:
         raise ValueError("need value > 0 and base > 1")
     if value == 1:
         return F(0)
-    # Fast path: integer exponent.
-    k = is_power(value, base)
-    if k is not None:
-        return F(k)
-    # General rational exponent p/q: value^q = base^p.  Bound p via logs.
-    lf = math.log(value) / math.log(base)
-    for q in range(2, max_den + 1):
-        p = round(lf * q)
-        if p <= 0:
-            continue
-        if math.gcd(p, q) != 1:
-            continue
-        if value**q == base**p:
-            return F(p, q)
-    return None
+    root, k = _perfect_power(base)
+    if value % root:
+        return None
+    m = round(math.log(value) / math.log(root))
+    if root**m != value:
+        return None
+    log = F(m, k)
+    return log if log.denominator <= max_den else None
 
 
 def approx_log(value: int, base: int, digits: int = 15) -> Fraction:
     """Rational approximation of ``log_base(value)``.
 
     Correct to roughly ``digits`` decimal digits (bounded by float64
-    precision of the underlying logarithms).
+    precision of the underlying logarithms).  Equal to
+    ``Fraction(ratio).limit_denominator(10**digits)``; the continued
+    fraction runs on plain integers instead of ``Fraction`` objects.
     """
     if value <= 0 or base <= 1:
         raise ValueError("need value > 0 and base > 1")
     ratio = math.log(value) / math.log(base)
-    return F(ratio).limit_denominator(10**digits)
+    return F(*_limit_denominator(*ratio.as_integer_ratio(), 10**digits))
+
+
+def _limit_denominator(n: int, d: int, max_den: int) -> tuple[int, int]:
+    """``Fraction(n, d).limit_denominator(max_den)`` as ``(p, q)``.
+
+    The same best-approximation walk over convergents and the last
+    semiconvergent, with the closer candidate chosen by an integer
+    comparison (ties go to the convergent, as in :mod:`fractions`).
+    ``d`` must be positive and ``gcd(n, d) == 1``, as
+    :meth:`float.as_integer_ratio` guarantees.
+    """
+    if d <= max_den:
+        return n, d
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    num, den = n, d
+    while True:
+        a = num // den
+        q2 = q0 + a * q1
+        if q2 > max_den:
+            break
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+        num, den = den, num - a * den
+    k = (max_den - q0) // q1
+    # p1/q1 is den/(q1*d) from n/d; the two candidates are
+    # 1/(q1*(q0 + k*q1)) apart and n/d lies between them.
+    if 2 * den * (q0 + k * q1) <= d:
+        return p1, q1
+    return p0 + k * p1, q0 + k * q1
 
 
 def log_ratio(value: int, base: int, digits: int = 15) -> Fraction:

@@ -16,9 +16,10 @@ import urllib.request
 import pytest
 
 from repro import serve
-from repro.api import Session
+from repro.api import Result, Session
 from repro.api.kinds import REQUEST_KINDS
 from repro.api.result import KINDS
+from repro.api.wire import json_safe
 
 _ANALYZE = {"problem": "matmul", "sizes": [16, 16, 16], "cache_words": 64}
 
@@ -147,3 +148,63 @@ def test_program_meta_carries_planner_delta(service):
     assert set(answer["meta"]["planner_delta"]) == {
         "queries", "structure_hits", "structure_solves",
     }
+
+
+#: kind -> extra bodies that reach the payload builders' other branches
+#: (certificates, aggregate budgets, explicit tiles and grids, tuning).
+_MORE_BODIES = {
+    "analyze": [
+        {**_ANALYZE, "certificate": True},
+        {"problem": "mttkrp", "sizes": [30, 20, 10, 7], "cache_words": 100,
+         "budget": "aggregate", "certificate": True},
+    ],
+    "simulate": [{"problem": "nbody", "sizes": [24, 24], "cache_words": 64, "tile": [4, 4]}],
+    "tune": [{"problem": "matmul", "sizes": [12, 12, 12], "cache_words": 32,
+              "max_evaluations": 3, "capacities": [16, 64]}],
+    "hierarchy": [{"problem": "matmul", "sizes": [12, 12, 12], "capacities": [16, 64],
+                   "tune_budget": 3}],
+    "program": [{
+        "program": {"name": "mlp", "bounds": {"b": 9, "i": 10, "j": 11, "k": 12},
+                    "statements": ["H[b,j] += X[b,i] * W[i,j]", "O[b,k] += H[b,j] * V[j,k]"]},
+        "cache_words": 64, "certificate": True, "tune_budget": 2,
+    }],
+    "distributed": [{"problem": "nbody", "sizes": [100, 70], "processors": 6,
+                     "memory_words": 1000, "grid": [3, 2]}],
+}
+
+
+def _assert_plain_json(value, where="payload"):
+    """Only dicts with str keys, lists, str, int, float, bool and None."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            assert type(key) is str, where
+            _assert_plain_json(item, f"{where}.{key}")
+    elif isinstance(value, list):
+        for idx, item in enumerate(value):
+            _assert_plain_json(item, f"{where}[{idx}]")
+    else:
+        assert value is None or type(value) in (str, int, float, bool), (
+            f"{where}: {type(value).__name__}"
+        )
+
+
+@pytest.mark.parametrize("kind", sorted(CASES))
+def test_session_payloads_are_already_json_safe(kind):
+    """Session skips the normalising walk, so its builders must emit plain
+    JSON themselves: the round trip then holds with no walk at all."""
+    row = ROWS[kind]
+    session = Session(workers=0)
+    for body in [CASES[kind][0], *_MORE_BODIES.get(kind, [])]:
+        if row.single:
+            results = [getattr(session, kind)(row.request.from_json(body, kind))]
+        elif kind == "sweep":
+            results = session.sweep(row.request.from_json(body, kind))
+        else:
+            results = session.batch([row.request.from_json(b) for b in body["requests"]])
+        for result in results:
+            assert result.ok, result.payload
+            _assert_plain_json(result.payload)
+            _assert_plain_json(result.meta, "meta")
+            assert json_safe(result.payload) == result.payload
+            assert Result.from_json(result.to_json()) == result
+            assert Result.from_json(json.loads(result.to_json_str())) == result

@@ -1,10 +1,15 @@
 """Tests for the §7 multiprocessor extension."""
 
+import json
 from fractions import Fraction as F
 from math import prod
+from pathlib import Path
 
 import pytest
 
+from repro.api import Session
+from repro.api.requests import DistributedRequest
+from repro.core.bounds import tile_exponent
 from repro.library.problems import matmul, matvec, nbody
 from repro.parallel.distributed import (
     distributed_lower_bound,
@@ -120,3 +125,43 @@ class TestDistributed:
         rep = simulate_grid(nbody(2**12, 2**12), 16, 2**10)
         assert prod(rep.grid) == 16
         assert rep.words_per_processor >= 0
+
+
+class TestDistributedGolden:
+    """Session-served distributed payloads against the LP-backed bound.
+
+    ``tests/golden/distributed_payloads.json`` was captured with the
+    exponent solved by the exact LP (:func:`distributed_lower_bound`);
+    the session now reads it off the plan cache.
+    """
+
+    GOLDEN = json.loads(
+        (Path(__file__).parent / "golden" / "distributed_payloads.json").read_text()
+    )
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_payload_matches_golden(self, name):
+        case = self.GOLDEN[name]
+        request = DistributedRequest.from_json(case["request"])
+        payload = Session().distributed(request).payload
+        assert json.dumps(payload, sort_keys=True) == json.dumps(case["payload"], sort_keys=True)
+        assert F(payload["lower_bound_k_hat"]) == tile_exponent(
+            request.nest, request.memory_words
+        )
+
+    def test_warm_request_runs_no_lp(self, monkeypatch):
+        session = Session()
+        body = {"problem": "mttkrp", "sizes": [300, 200, 100, 30], "memory_words": 1000}
+        session.distributed(DistributedRequest.from_json({**body, "processors": 6}))
+        solves = session.planner.stats.structure_solves
+
+        def no_lp(*args, **kwargs):
+            raise AssertionError("warm distributed request ran an LP")
+
+        monkeypatch.setattr("repro.core.lp.solve_lp", no_lp)
+        monkeypatch.setattr("repro.core.mplp.solve_lp", no_lp)
+        result = session.distributed(
+            DistributedRequest.from_json({**body, "sizes": [301, 77, 1003, 29], "processors": 8})
+        )
+        assert result.ok
+        assert session.planner.stats.structure_solves == solves

@@ -15,7 +15,7 @@ import pytest
 
 import repro
 from repro.cli import main
-from repro.core.bounds import communication_lower_bound
+from repro.core.bounds import communication_lower_bound, tile_exponent
 from repro.core.tiling import solve_tiling
 from repro.core.verify import check_tile
 from repro.library.problems import catalog, matmul, mttkrp, nbody
@@ -140,6 +140,26 @@ class TestPlannerParity:
             direct = communication_lower_bound(nest, 3)
             assert plan.lower_bound.k_hat == direct.k_hat
 
+
+    @pytest.mark.parametrize("name", FAST_PROBLEMS, ids=str)
+    def test_exponent_matches_tile_exponent(self, name):
+        # The value-only query the distributed route uses: no primal
+        # recovery, and no LP once the structure is warm.
+        nest = CATALOG[name]
+        planner = Planner()
+        rng = random.Random(name)
+        for cache_words in (2, 100, 4096, 2**16):
+            bounds = [rng.choice([1, 3, 100, 777, 4096]) for _ in nest.bounds]
+            probe = nest.with_bounds(bounds)
+            assert planner.exponent(probe, cache_words) == tile_exponent(probe, cache_words)
+        assert planner.stats.primal_lp_solves == 0
+        assert planner.stats.primal_map_hits == 0
+
+    def test_exponent_beyond_beta_cap_and_validation(self):
+        nest = matmul(3**65, 4, 4)
+        assert Planner().exponent(nest, 3) == tile_exponent(nest, 3)
+        with pytest.raises(ValueError):
+            Planner().exponent(nest, 1)
 
 class TestCacheMechanics:
     def test_lru_eviction_order(self):

@@ -111,6 +111,53 @@ class TestAnalyze:
         assert cert["tight"] is True and cert["primal"] == "5/4"
 
 
+def _post_raw(base: str, path: str, blob) -> bytes:
+    request = urllib.request.Request(
+        base + path, data=json.dumps(blob).encode(),
+        headers={"Content-Type": "application/json"}, method="POST",
+    )
+    with urllib.request.urlopen(request, timeout=30) as resp:
+        assert resp.status == 200
+        return resp.read()
+
+
+@pytest.fixture(scope="module")
+def cached_service():
+    server = make_server(port=0, session=Session(), response_cache=16)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{server.server_address[1]}"
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+
+
+class TestResponseBytes:
+    """A cacheable 200's payload is serialised once, for the response
+    cache and the fresh answer alike; both must be the same bytes."""
+
+    @pytest.mark.parametrize("path, blob", [
+        ("/v1/analyze", {"problem": "mttkrp", "sizes": [33, 20, 17, 9],
+                         "cache_words": 300, "certificate": True}),
+        ("/v1/distributed", {"problem": "nbody", "sizes": [300, 70],
+                             "processors": 6, "memory_words": 1000}),
+        ("/v1/program", {"einsum": "ik,kj->ij", "sizes": {"i": 19, "k": 23, "j": 29},
+                         "cache_words": 128}),
+    ])
+    def test_fresh_and_cached_bytes_identical_up_to_meta(self, cached_service, path, blob):
+        fresh = _post_raw(cached_service, path, blob)
+        cached = _post_raw(cached_service, path, blob)
+        assert json.loads(cached)["meta"]["response_cache"] is True
+        assert "response_cache" not in json.loads(fresh)["meta"]
+        head = fresh[: fresh.rindex(b', "meta": ')]
+        assert cached[: cached.rindex(b', "meta": ')] == head
+        # Spliced bytes are exactly json.dumps of the whole envelope.
+        assert fresh.decode() == json.dumps(json.loads(fresh))
+        assert cached.decode() == json.dumps(json.loads(cached))
+
+
 class TestBatchAndSweep:
     def test_batch_ordered_results(self, service):
         requests = [

@@ -1,11 +1,21 @@
 """Tests for the tiling LP and integer tile repair (§5)."""
 
+import random
 from fractions import Fraction as F
 from math import prod
 
 import pytest
 
-from repro.core.tiling import TileShape, build_tiling_lp, integer_repair, solve_tiling
+from repro.core.integer import nested_integer_repair
+from repro.core.loopnest import ArrayRef, LoopNest
+from repro.core.tiling import (
+    TileShape,
+    _max_block,
+    build_tiling_lp,
+    clamp_block,
+    integer_repair,
+    solve_tiling,
+)
 from repro.library.problems import (
     matmul,
     matvec,
@@ -204,3 +214,111 @@ class TestLPStructure:
         nest = matmul(2**4, 2**8, 2**2)
         lp = build_tiling_lp(nest, 2**16)
         assert [lp.bounds[v][1] for v in lp.variables] == [F(1, 4), F(1, 2), F(1, 8)]
+
+
+def _max_block_by_search(nest, blocks, i, cache_words, budget):
+    """The binary search the closed-form ``_max_block`` replaced; the oracle."""
+    lo, hi = blocks[i], nest.bounds[i]
+
+    def ok(value):
+        trial = list(blocks)
+        trial[i] = value
+        return TileShape(nest=nest, blocks=tuple(trial)).is_feasible(cache_words, budget)
+
+    assert ok(lo)
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if ok(mid):
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
+def _repair_by_search(nest, fractional, cache_words, budget, floors):
+    """The pre-closed-form ``integer_repair``: shrink, then search to a fixpoint."""
+    blocks = [max(f_lo, clamp_block(f, L)) for f, L, f_lo in zip(fractional, nest.bounds, floors)]
+    while not TileShape(nest=nest, blocks=tuple(blocks)).is_feasible(cache_words, budget):
+        shrinkable = [k for k in range(nest.depth) if blocks[k] > floors[k]]
+        if not shrinkable:
+            return tuple(blocks)
+        i = max(shrinkable, key=lambda k: blocks[k])
+        blocks[i] = max(floors[i], blocks[i] // 2)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(nest.depth):
+            best = _max_block_by_search(nest, blocks, i, cache_words, budget)
+            if best > blocks[i]:
+                blocks[i] = best
+                changed = True
+    return tuple(blocks)
+
+
+def _random_nest(rng):
+    depth = rng.randint(1, 6)
+    while True:
+        supports = [
+            tuple(sorted(rng.sample(range(depth), rng.randint(0, depth))))
+            for _ in range(rng.randint(1, 5))
+        ]
+        if len(set().union(*supports)) == depth:
+            break
+    return LoopNest(
+        name="random",
+        loops=tuple(f"x{i}" for i in range(depth)),
+        bounds=tuple(rng.choice([1, 2, 3, 7, 64, 100, 1000, 5000]) for _ in range(depth)),
+        arrays=tuple(ArrayRef(f"A{j}", s) for j, s in enumerate(supports)),
+    )
+
+
+class TestClosedFormMaxBlock:
+    """``_max_block`` and ``integer_repair`` against the binary search."""
+
+    @pytest.mark.parametrize("budget", ["per-array", "aggregate"])
+    def test_max_block_matches_search(self, budget):
+        rng = random.Random(f"max-block/{budget}")
+        checked = 0
+        while checked < 1500:
+            nest = _random_nest(rng)
+            cache = rng.choice([1, 2, 5, 16, 100, 1024, 2**14, 10**6])
+            blocks = [rng.randint(1, L) for L in nest.bounds]
+            if not TileShape(nest=nest, blocks=tuple(blocks)).is_feasible(cache, budget):
+                blocks = [1] * nest.depth
+                if not TileShape(nest=nest, blocks=tuple(blocks)).is_feasible(cache, budget):
+                    continue
+            for i in range(nest.depth):
+                assert _max_block(nest, blocks, i, cache, budget) == _max_block_by_search(
+                    nest, blocks, i, cache, budget
+                ), (nest.arrays, nest.bounds, blocks, i, cache)
+            checked += 1
+
+    @pytest.mark.parametrize("budget", ["per-array", "aggregate"])
+    def test_integer_repair_matches_search(self, budget):
+        rng = random.Random(f"repair/{budget}")
+        for _ in range(800):
+            nest = _random_nest(rng)
+            cache = rng.choice([2, 5, 16, 100, 1024, 2**14, 10**6])
+            fractional = [rng.uniform(0.1, 1.5 * L) for L in nest.bounds]
+            floors = (1,) * nest.depth
+            got = integer_repair(nest, fractional, cache, budget)
+            assert got.blocks == _repair_by_search(nest, fractional, cache, budget, floors)
+
+    @pytest.mark.parametrize("budget", ["per-array", "aggregate"])
+    def test_nested_repair_floors_match_search(self, budget):
+        # Non-unit floors as nested_integer_repair passes them: the
+        # previous level's repaired blocks.
+        rng = random.Random(f"nested/{budget}")
+        for _ in range(400):
+            nest = _random_nest(rng)
+            inner = rng.choice([4, 16, 64, 256])
+            capacities = (inner, inner * rng.choice([2, 4, 8]), inner * 64)
+            levels = [
+                [rng.uniform(0.5, 1.2 * L) for L in nest.bounds] for _ in capacities
+            ]
+            tiles = nested_integer_repair(nest, levels, capacities, budget)
+            floors = (1,) * nest.depth
+            for fractional, capacity, tile in zip(levels, capacities, tiles):
+                expected = _repair_by_search(nest, fractional, capacity, budget, floors)
+                assert tile.blocks == expected
+                floors = tile.blocks

@@ -1,11 +1,14 @@
 """Tests for the exact-arithmetic utility layer (repro.util)."""
 
+import math
+import random
 from fractions import Fraction as F
 
 import pytest
 
 from repro.util.linalg import SingularMatrixError, rank, solve_square
 from repro.util.rationals import (
+    _limit_denominator,
     approx_log,
     beta_vector,
     exact_log,
@@ -95,6 +98,96 @@ class TestLogs:
             exact_log(0, 2)
         with pytest.raises(ValueError):
             approx_log(4, 1)
+
+
+def _exact_log_by_denominator_search(value, base, max_den=64):
+    """The float-guided denominator search ``exact_log`` replaced; the oracle."""
+    if value == 1:
+        return F(0)
+    k = is_power(value, base)
+    if k is not None:
+        return F(k)
+    lf = math.log(value) / math.log(base)
+    for q in range(2, max_den + 1):
+        p = round(lf * q)
+        if p <= 0 or math.gcd(p, q) != 1:
+            continue
+        if value**q == base**p:
+            return F(p, q)
+    return None
+
+
+class TestExactLogDifferential:
+    """``exact_log`` (perfect-power decomposition) against the old search."""
+
+    def test_small_bases_and_values(self):
+        values = sorted(
+            set(range(1, 65)) | {r**m for r in range(2, 13) for m in range(2, 9)}
+        )
+        for base in range(2, 301):
+            for value in values:
+                assert exact_log(value, base) == _exact_log_by_denominator_search(
+                    value, base
+                ), (value, base)
+
+    @pytest.mark.parametrize("root", [2, 3, 6, 12])
+    def test_powers_of_composite_roots(self, root):
+        values = [root**m for m in range(0, 40)]
+        values += [v + delta for v in values[1:] for delta in (-1, 1)]
+        for base in [root**k for k in range(1, 25)]:
+            for value in values:
+                if value < 1:
+                    continue
+                assert exact_log(value, base) == _exact_log_by_denominator_search(
+                    value, base
+                ), (value, base)
+
+    @pytest.mark.parametrize("r", [2, 3, 5, 7, 10])
+    def test_denominator_boundary(self, r):
+        # log_{r**q} r**p = p/q: found up to q = max_den, None beyond.
+        for q in range(60, 69):
+            base = r**q
+            for p in (1, q - 1, q + 1, 2 * q + 1):
+                got = exact_log(r**p, base)
+                assert got == _exact_log_by_denominator_search(r**p, base), (p, q)
+                if F(p, q).denominator <= 64:
+                    assert got == F(p, q)
+                else:
+                    assert got is None
+
+    def test_max_den_argument(self):
+        assert exact_log(2**3, 2**10, max_den=10) == F(3, 10)
+        assert exact_log(2**3, 2**10, max_den=9) is None
+        assert exact_log(2**20, 2**10, max_den=1) == F(2)
+
+    def test_random_cache_sized_bases(self):
+        rng = random.Random(7)
+        for _ in range(3000):
+            base = rng.choice([1 << rng.randint(1, 24), rng.randint(2, 10**6)])
+            value = rng.choice([rng.randint(1, 10**5), base ** rng.randint(1, 3)])
+            assert exact_log(value, base) == _exact_log_by_denominator_search(
+                value, base
+            ), (value, base)
+
+    def test_limit_denominator_matches_fractions_including_ties(self):
+        # Small grids reach the exact midpoints where the tie rule decides.
+        for d in range(1, 64):
+            for n in range(-20, 130):
+                if math.gcd(n, d) != 1:
+                    continue
+                for max_den in range(1, 10):
+                    expected = F(n, d).limit_denominator(max_den)
+                    assert F(*_limit_denominator(n, d, max_den)) == expected, (n, d, max_den)
+
+    def test_approx_log_matches_limit_denominator(self):
+        rng = random.Random(11)
+        for _ in range(3000):
+            value, base = rng.randint(1, 10**7), rng.randint(2, 10**7)
+            for digits in (3, 15):
+                ratio = math.log(value) / math.log(base)
+                assert approx_log(value, base, digits) == F(ratio).limit_denominator(
+                    10**digits
+                ), (value, base, digits)
 
 
 class TestPowFraction:
