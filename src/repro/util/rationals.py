@@ -12,12 +12,12 @@ arithmetic, so log-space inputs must be rational.  We provide two ways
 to obtain a rational ``beta``:
 
 1. :func:`exact_log` — when ``L`` is an exact power ``M**(p/q)``,
-   returns the exact ``Fraction(p, q)``.  It writes ``M = r**k`` with
-   ``r`` not a perfect power (memoised per base: cache sizes are few),
-   so ``L`` has a rational log exactly when ``L = r**m``, and the
-   answer is ``m/k``.  One divisibility test rejects most other
-   values.  All golden tests use such configurations (powers of a
-   common base), so the paper's closed forms reproduce with zero error.
+   returns the exact ``Fraction(p, q)``.  ``L`` and ``M`` are then
+   powers of one integer, which Euclid's algorithm on the exponents
+   finds with integer divisions; one divisibility test rejects most
+   other values.  All golden tests use such configurations (powers of
+   a common base), so the paper's closed forms reproduce with zero
+   error.
 2. :func:`approx_log` — otherwise, a ``Fraction`` approximation of the
    real logarithm with at least ``digits`` correct decimal digits.
 
@@ -96,44 +96,40 @@ def is_power(value: int, base: int) -> int | None:
     return k if v == 1 else None
 
 
-@lru_cache(maxsize=1024)
-def _perfect_power(base: int) -> tuple[int, int]:
-    """``(root, k)`` with ``base == root**k`` and ``k`` as large as possible.
-
-    The largest ``k`` leaves a ``root`` that is not itself a perfect
-    power.  Called with cache sizes, which are few, so the
-    ``O(log base)`` root extractions are paid once per base.
-    """
-    for k in range(base.bit_length() - 1, 1, -1):
-        root = integer_nth_root(base, k)
-        if root**k == base:
-            return root, k
-    return base, 1
-
-
 def exact_log(value: int, base: int, max_den: int = 64) -> Fraction | None:
     """Exact ``log_base(value)`` as a ``Fraction``, if one exists.
 
-    ``value**q == base**p`` with ``gcd(p, q) == 1`` holds exactly when
-    ``value == r**p`` and ``base == r**q`` for one integer ``r``.  With
-    ``base == root**k`` (``root`` not a perfect power, see
-    :func:`_perfect_power`) that ``r`` is a power of ``root``, so the
-    log is rational exactly when ``value == root**m``; it is then
-    ``m/k``.  Returns that Fraction when its reduced denominator is at
-    most ``max_den``, else ``None``.
+    ``log_base(value)`` is rational exactly when ``value`` and ``base``
+    are powers of one integer ``r``.  Euclid's algorithm on the unknown
+    exponents decides it with integer divisions: of two powers of ``r``
+    the larger is divisible by the smaller, so divide it out as often
+    as it goes, track each side as ``value**s * base**t``, and repeat
+    until a side reaches 1 (rational: ``value**s * base**t == 1``) or
+    the smaller side does not divide the larger (irrational).  Most
+    values fail the first divisibility test.  Returns the log when its
+    reduced denominator is at most ``max_den``, else ``None``.
     """
     if value <= 0 or base <= 1:
         raise ValueError("need value > 0 and base > 1")
     if value == 1:
         return F(0)
-    root, k = _perfect_power(base)
-    if value % root:
-        return None
-    m = round(math.log(value) / math.log(root))
-    if root**m != value:
-        return None
-    log = F(m, k)
-    return log if log.denominator <= max_den else None
+    # x == value**sx * base**tx and y == value**sy * base**ty, with
+    # x >= y > 1 at the top of each round.
+    x, sx, tx = value, 1, 0
+    y, sy, ty = base, 0, 1
+    while True:
+        if x < y:
+            x, sx, tx, y, sy, ty = y, sy, ty, x, sx, tx
+        n = 0
+        while x % y == 0:
+            x //= y
+            n += 1
+        if n == 0:
+            return None
+        sx, tx = sx - n * sy, tx - n * ty
+        if x == 1:
+            log = F(-tx, sx)
+            return log if log.denominator <= max_den else None
 
 
 def approx_log(value: int, base: int, digits: int = 15) -> Fraction:

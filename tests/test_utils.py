@@ -118,7 +118,7 @@ def _exact_log_by_denominator_search(value, base, max_den=64):
 
 
 class TestExactLogDifferential:
-    """``exact_log`` (perfect-power decomposition) against the old search."""
+    """``exact_log`` (Euclid on the exponents) against the old search."""
 
     def test_small_bases_and_values(self):
         values = sorted(
@@ -154,6 +154,15 @@ class TestExactLogDifferential:
                     assert got == F(p, q)
                 else:
                     assert got is None
+
+    def test_huge_operands(self):
+        # Thousands of digits, as a client's cache_words may have: the
+        # answer comes from a few divisions, not root extractions.
+        assert exact_log(2, 10**4299 + 1) is None
+        assert exact_log(10**4299 + 1, 2**20) is None
+        assert exact_log(3**5000, 3**7) == F(5000, 7)
+        assert exact_log(6**3000, 36) == F(1500)
+        assert exact_log(2**14000, 2) == F(14000)
 
     def test_max_den_argument(self):
         assert exact_log(2**3, 2**10, max_den=10) == F(3, 10)
