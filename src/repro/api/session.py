@@ -130,15 +130,12 @@ class Session:
     plan_capacity:
         LRU capacity (canonical structures) of the private planner.
     plan_cache:
-        Optional JSON path for plan persistence (loaded eagerly, written
-        by :meth:`save_plans`).
-    shared_cache:
-        Optional cross-process plan store — a
+        Optional plan store — a
         :class:`~repro.util.sharedstore.SharedPlanStore` or a directory
         path for one.  Structure misses consult it before solving and
-        fresh solves publish back, so concurrent server processes warm
-        each other.  Only valid for the private planner (pass a
-        pre-wired planner otherwise).
+        each fresh solve is written back as it completes, so later runs
+        and concurrent server processes start warm.  Only valid for the
+        private planner (pass a pre-wired planner otherwise).
     line_words:
         Cache-line granularity for :meth:`simulate` (1 = paper model).
     engine:
@@ -155,7 +152,6 @@ class Session:
         *,
         plan_capacity: int = 128,
         plan_cache=None,
-        shared_cache=None,
         line_words: int = 1,
         engine: str = "batched",
         workers: int | None = None,
@@ -164,12 +160,12 @@ class Session:
             raise ValueError(f"unknown engine {engine!r}")
         if line_words < 1:
             raise ValueError("line_words must be >= 1")
-        if planner is not None and shared_cache is not None:
+        if planner is not None and plan_cache is not None:
             raise ValueError(
-                "pass shared_cache to the planner itself, not alongside one"
+                "pass plan_cache to the planner itself, not alongside one"
             )
         self.planner = planner if planner is not None else Planner(
-            capacity=plan_capacity, cache_path=plan_cache, shared_store=shared_cache
+            capacity=plan_capacity, shared_store=plan_cache
         )
         self.line_words = line_words
         self.engine = engine
@@ -669,10 +665,6 @@ class Session:
         )
 
     # -- housekeeping -------------------------------------------------------
-
-    def save_plans(self, path=None):
-        """Persist the plan cache (see :meth:`repro.plan.Planner.save`)."""
-        return self.planner.save(path)
 
     @property
     def stats(self):

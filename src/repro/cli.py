@@ -16,7 +16,7 @@ Simulate the derived tiling's traffic against the lower bound::
 
 Serve a batch of queries through the plan cache (one JSON line each)::
 
-    repro-tile --batch requests.json --plan-cache plans.json
+    repro-tile --batch requests.json --plan-cache plans/
 
 Sweep a problem over size and cache grids (``:`` separates choices)::
 
@@ -63,6 +63,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import sys
 from typing import Sequence
 
@@ -157,12 +158,28 @@ def build_arg_parser() -> argparse.ArgumentParser:
         default=None,
         help="worker processes for cold structure solves (default: auto; 0 = serial)",
     )
-    batch.add_argument(
-        "--plan-cache",
-        metavar="FILE",
-        help="persistent JSON plan cache to load before and save after the run",
-    )
+    _add_plan_cache_argument(batch)
     return parser
+
+
+def _plan_store_dir(value: str) -> str:
+    """``--plan-cache`` type: a directory path, never an existing file."""
+    if os.path.exists(value) and not os.path.isdir(value):
+        raise argparse.ArgumentTypeError(
+            f"takes a directory (the sharded plan store), but {value!r} is a file"
+        )
+    return value
+
+
+def _add_plan_cache_argument(parser) -> None:
+    parser.add_argument(
+        "--plan-cache",
+        metavar="DIR",
+        type=_plan_store_dir,
+        help="plan store directory (sharded JSON, created if missing): "
+        "structure misses read it and every solve is written to it, so "
+        "later runs and sibling server processes start warm",
+    )
 
 
 def build_serve_parser() -> argparse.ArgumentParser:
@@ -176,17 +193,7 @@ def build_serve_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--port", type=int, default=8787, help="TCP port (default 8787; 0 = ephemeral)"
     )
-    parser.add_argument(
-        "--plan-cache",
-        metavar="FILE",
-        help="persistent JSON plan cache loaded into the shared session",
-    )
-    parser.add_argument(
-        "--shared-cache",
-        metavar="DIR",
-        help="sharded cross-process plan store; concurrent server "
-        "processes pointing at the same directory warm each other",
-    )
+    _add_plan_cache_argument(parser)
     parser.add_argument(
         "--workers",
         type=int,
@@ -248,7 +255,7 @@ def build_stats_parser() -> argparse.ArgumentParser:
         "--json",
         action="store_true",
         help="print Session.metrics() as JSON (registry summary + planner "
-        "and shared-cache stats) instead of Prometheus text",
+        "and plan-store stats) instead of Prometheus text",
     )
     return parser
 
@@ -291,11 +298,7 @@ def _add_search_arguments(parser: argparse.ArgumentParser, smoke_help: str) -> N
         default=None,
         help="worker processes for candidate evaluation (default: auto; 0 = serial)",
     )
-    parser.add_argument(
-        "--plan-cache",
-        metavar="FILE",
-        help="persistent JSON plan cache to load before and save after the run",
-    )
+    _add_plan_cache_argument(parser)
     parser.add_argument(
         "--deadline-ms",
         type=float,
@@ -475,11 +478,11 @@ _USAGE_ERRORS = (ParseError, LoopNestError, RequestError, OSError,
 def _run_kind(kind: str, args, build, **kwargs) -> int:
     """Run ``build()``'s request through ``Session.<kind>``.
 
-    Prints one Result JSON line per answer and saves the plan cache when
-    ``--plan-cache`` is given.  Exit code 0 when every answer is ok, 2
-    on a usage error (message on stderr), 3 when an answer is an error
-    envelope such as an expired deadline: still valid Result JSON on
-    stdout, but scripts can tell it apart.
+    Prints one Result JSON line per answer; with ``--plan-cache`` every
+    solve lands in the plan store as it completes.  Exit code 0 when
+    every answer is ok, 2 on a usage error (message on stderr), 3 when
+    an answer is an error envelope such as an expired deadline: still
+    valid Result JSON on stdout, but scripts can tell it apart.
     """
     try:
         request = build()
@@ -488,8 +491,6 @@ def _run_kind(kind: str, args, build, **kwargs) -> int:
         results = answer if isinstance(answer, list) else [answer]
         for result in results:
             print(result.to_json_str())
-        if args.plan_cache:
-            session.save_plans()
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -689,8 +690,8 @@ def _run_serve(argv: Sequence[str]) -> int:
 
     args = build_serve_parser().parse_args(list(argv))
     try:
-        session = Session(plan_cache=args.plan_cache, shared_cache=args.shared_cache)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+        session = Session(plan_cache=args.plan_cache)
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
@@ -725,10 +726,6 @@ def _run_serve(argv: Sequence[str]) -> int:
         # settings follow the CLI contract.
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    finally:
-        # Mirror batch mode: structures solved while serving persist.
-        if args.plan_cache:
-            session.save_plans()
 
 
 _SUBCOMMANDS = {

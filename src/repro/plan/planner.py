@@ -29,16 +29,12 @@ acceptance margin, then settled exactly).
 
 from __future__ import annotations
 
-import hashlib
-import json
 import logging
 import os
-import tempfile
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from pathlib import Path
 from typing import Iterable, Sequence
 
 from ..core.bounds import CommunicationLowerBound, lower_bound_from_k_hat
@@ -63,7 +59,6 @@ from ..core.tiling import (
 )
 from ..obs.trace import span as _span
 from ..util import deadline as _deadline
-from ..util import faults
 from ..util.rationals import log_ratio, pow_fraction
 from ..util.sharedstore import SharedPlanStore
 
@@ -87,15 +82,7 @@ _FLOAT_MARGIN = 1e-7
 #: one critical region's closure; a short MRU list absorbs the churn).
 _MAPS_PER_PIECE = 8
 
-_SCHEMA_VERSION = 1
-
 _log = logging.getLogger(__name__)
-
-
-def _entries_checksum(entries: dict) -> str:
-    """Content hash of the cache's entry map (canonical JSON, sha256)."""
-    canon = json.dumps(entries, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -421,27 +408,23 @@ class Planner:
     capacity:
         Maximum number of canonical structures kept in memory (least
         recently used evicted first).
-    cache_path:
-        Optional JSON file.  When given and present, structures are
-        loaded eagerly on construction; :meth:`save` writes the current
-        cache back (primal maps are derived data and are not persisted).
     shared_store:
         Optional :class:`~repro.util.sharedstore.SharedPlanStore` (or a
-        directory path for one).  Structure misses consult the store
-        before solving, and fresh solves publish back, so concurrent
-        planner processes warm each other.
+        directory path for one) — the planner's only persistence.
+        Structure misses consult the store before solving, and each
+        fresh solve is written back as it completes, so concurrent
+        planner processes and later runs warm each other.  Primal maps
+        are derived data and are not persisted.
     """
 
     def __init__(
         self,
         capacity: int = 128,
-        cache_path: str | os.PathLike | None = None,
         shared_store: SharedPlanStore | str | os.PathLike | None = None,
     ):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
-        self.cache_path = Path(cache_path) if cache_path is not None else None
         if shared_store is not None and not isinstance(shared_store, SharedPlanStore):
             shared_store = SharedPlanStore(shared_store)
         self.shared_store = shared_store
@@ -458,12 +441,6 @@ class Planner:
         # In-flight structure solves, for coalescing: canonical key ->
         # Event set when the leading solver finishes (or fails).
         self._solving: dict[str, threading.Event] = {}
-        # Serialises whole save()/load() calls: concurrent Session users
-        # sharing one planner must not interleave persistence I/O (the
-        # structure lock above only protects in-memory state).
-        self._io_lock = threading.Lock()
-        if self.cache_path is not None and self.cache_path.exists():
-            self.load(self.cache_path)
 
     # -- canonicalization (memoised per raw structure) ----------------------
 
@@ -501,17 +478,20 @@ class Planner:
         with self._lock:
             return list(self._structures)
 
-    def install_structure(
-        self, key: str, pieces_json: Iterable[dict], publish: bool = True
-    ) -> None:
-        """Insert a pre-solved structure (parallel warmers, persistence).
+    def install_structure(self, key: str, pieces_json: Iterable[dict]) -> None:
+        """Insert a structure solved by a pool worker, and publish it.
 
-        With ``publish`` (the default) the piece set is also offered to
-        the shared store, so pool workers' solves warm sibling
-        processes; persistence/adoption paths pass ``publish=False``.
+        The piece set is also offered to the shared store, so a pool
+        worker's solve warms sibling processes and later runs.
         """
-        form = CanonicalForm.from_key(key)
         pieces_json = list(pieces_json)
+        self._install(key, pieces_json)
+        if self.shared_store is not None:
+            self.shared_store.put(key, pieces_json)
+
+    def _install(self, key: str, pieces_json: list[dict]) -> None:
+        """Insert a pre-solved structure into the in-memory LRU only."""
+        form = CanonicalForm.from_key(key)
         pieces = tuple(sorted(
             (_piece_from_json(blob) for blob in pieces_json),
             key=lambda p: (p.constant, p.coeffs),
@@ -521,8 +501,6 @@ class Planner:
             self._structures[key] = _StructurePlan(form=form, pvf=pvf)
             self._structures.move_to_end(key)
             self._evict()
-        if publish and self.shared_store is not None:
-            self.shared_store.put(key, pieces_json)
 
     def probe_structure(self, key: str) -> bool:
         """Is ``key`` answerable without a solve (memory or shared store)?
@@ -540,7 +518,7 @@ class Planner:
         if pieces is None:
             return False
         try:
-            self.install_structure(key, pieces, publish=False)
+            self._install(key, pieces)
         except Exception:
             # A poisoned entry must degrade to a fresh solve, never an
             # unstructured failure; invalidation stats live in the store.
@@ -889,131 +867,4 @@ class Planner:
             lambdas=lambdas,
             dual=DualSolution(zeta=zeta, s=s, objective=value),
             complementary_slackness=_complementary_slackness(nest, betas, lambdas, zeta, s),
-        )
-
-    # -- persistence ---------------------------------------------------------
-
-    def save(self, path: str | os.PathLike | None = None) -> Path:
-        """Write the structure cache as JSON — crash-safe and serialised.
-
-        The payload lands in a ``mkstemp`` sibling first and is moved
-        over the target with :func:`os.replace` (an atomic rename on
-        POSIX and Windows), so a crash mid-write can never leave a
-        truncated or half-old cache file behind; readers see either the
-        previous file or the complete new one.  Whole calls additionally
-        hold the planner's I/O lock, so concurrent sessions sharing one
-        planner cannot interleave their writes (last writer wins, with
-        each write internally consistent).
-        """
-        target = Path(path) if path is not None else self.cache_path
-        if target is None:
-            raise ValueError("no cache path given")
-        with self._io_lock:
-            with self._lock:
-                entries = {
-                    key: {"pieces": [_piece_to_json(p) for p in plan.pvf.pieces]}
-                    for key, plan in self._structures.items()
-                }
-            payload = {
-                "version": _SCHEMA_VERSION,
-                "checksum": _entries_checksum(entries),
-                "entries": entries,
-            }
-            target.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=str(target.parent), suffix=".tmp")
-            try:
-                with os.fdopen(fd, "w") as handle:
-                    json.dump(payload, handle, indent=1)
-                    handle.write("\n")
-                os.replace(tmp, target)
-            except OSError:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
-        return target
-
-    def load(self, path: str | os.PathLike) -> int:
-        """Load structures from JSON; returns the number installed.
-
-        Serialised against concurrent :meth:`save` calls by the same
-        I/O lock, so a load never reads a file mid-write through a
-        non-atomic filesystem and never interleaves with this planner's
-        own writer.
-
-        A corrupt cache is **never fatal**: a truncated/empty file,
-        wrong schema version, checksum mismatch, or malformed entry is
-        quarantined to ``<path>.corrupt`` (for post-mortem) and the
-        planner starts with an empty cache — the solves it would have
-        warmed simply happen again.  Validation is two-phase (parse
-        everything, then install), so a file that goes bad halfway never
-        installs a partial structure set.  Caches written before the
-        checksum field existed are accepted.
-        """
-        path = Path(path)
-        with self._io_lock:
-            text = path.read_text()
-        if faults.active("corrupt-cache-read"):
-            # Simulate a torn read / truncated file: keep half the bytes.
-            text = text[: len(text) // 2]
-        staged, reason = self._parse_cache(text, path)
-        if reason is not None:
-            self._quarantine(path, reason)
-            return 0
-        for key, pieces in staged:
-            # Snapshot loads stay local: publishing a whole file to the
-            # shared store belongs to whoever solved it, not every reader.
-            self.install_structure(key, pieces, publish=False)
-        return len(staged)
-
-    def _parse_cache(
-        self, text: str, path: Path
-    ) -> tuple[list[tuple[str, list[dict]]], str | None]:
-        """Validate a cache file's full content; never raises.
-
-        Returns ``(staged_entries, None)`` on success or ``([], reason)``
-        when the file cannot be trusted.
-        """
-        if not text.strip():
-            return [], "empty file"
-        try:
-            blob = json.loads(text)
-        except json.JSONDecodeError as exc:
-            return [], f"invalid JSON: {exc}"
-        if not isinstance(blob, dict):
-            return [], "top level is not a JSON object"
-        if blob.get("version") != _SCHEMA_VERSION:
-            return [], f"unsupported plan-cache version {blob.get('version')!r}"
-        entries = blob.get("entries", {})
-        if not isinstance(entries, dict):
-            return [], "entries is not a JSON object"
-        checksum = blob.get("checksum")
-        if checksum is not None and checksum != _entries_checksum(entries):
-            return [], "checksum mismatch"
-        staged: list[tuple[str, list[dict]]] = []
-        for key, entry in entries.items():
-            try:
-                pieces = entry["pieces"]
-                CanonicalForm.from_key(key)
-                parsed = [_piece_from_json(piece) for piece in pieces]
-                if not parsed:
-                    raise ValueError("no pieces")
-            except Exception as exc:
-                return [], f"malformed entry {key!r}: {exc}"
-            staged.append((key, pieces))
-        return staged, None
-
-    def _quarantine(self, path: Path, reason: str) -> None:
-        """Move a corrupt cache aside and continue with an empty cache."""
-        corrupt = path.with_name(path.name + ".corrupt")
-        moved = ""
-        try:
-            os.replace(path, corrupt)
-            moved = f"; original preserved at {corrupt}"
-        except OSError:
-            pass
-        _log.warning(
-            "plan cache %s is unusable (%s); starting with an empty cache%s",
-            path, reason, moved,
         )

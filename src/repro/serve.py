@@ -31,9 +31,9 @@ three caches stack in front of the solver:
   execution (the planner additionally coalesces concurrent solves of
   the same canonical structure, so N distinct requests needing one new
   structure still cost one solve);
-* the planner's **shared cross-process plan store** (wire it via
-  ``Session(shared_cache=...)``), so sibling server processes warm each
-  other.
+* the planner's **plan store** (``--plan-cache DIR``, or
+  ``Session(plan_cache=...)``), so a restarted server and sibling
+  server processes start warm.
 
 Every response body is a schema-versioned envelope
 (:class:`repro.api.Result` for single answers; batch/sweep wrap a

@@ -23,7 +23,8 @@ Injection points live next to the code they perturb:
     :mod:`repro.tune.evaluate`) hard-exit, producing a real
     ``BrokenProcessPool`` mid-run.
 ``corrupt-cache-read``
-    :meth:`repro.plan.Planner.load` sees a truncated cache file.
+    :class:`repro.util.sharedstore.SharedPlanStore` sees every shard it
+    reads torn in half.
 ``native-kernel``
     :func:`repro.machine.native.get_kernel` reports the native LRU
     kernel as failed, exercising the numpy degradation path.

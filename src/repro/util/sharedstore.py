@@ -1,24 +1,28 @@
-"""Sharded cross-process plan store: one solve, every process warm.
+"""Sharded plan store: the planner's one persistence format.
 
-The planner's JSON persistence (``Planner.save``/``load``) is a
-whole-cache snapshot: good for one process checkpointing itself, wrong
-for a fleet — concurrent writers clobber each other's solves and a
-reader pays a full-file parse per refresh.  :class:`SharedPlanStore`
-promotes that format to a directory of **shards**, each a small JSON
-file owning a stable subset of canonical keys (``sha256(key) mod
-shards``), so that:
+Section 7 of the paper makes a nest's tile exponent the lower envelope
+of finitely many affine pieces, computed once per canonical structure.
+That piece list is the only solver output worth keeping on disk, and
+:class:`SharedPlanStore` keeps it in a directory of **shards**, each a
+small JSON file owning a stable subset of canonical keys
+(``sha256(key) mod shards``).  One directory serves a single CLI run
+checkpointing its solves (``--plan-cache DIR``) and a fleet of server
+processes warming each other alike:
 
 * writers merge-and-replace only the one shard their key hashes to,
-  under an ``fcntl`` file lock, with the same ``mkstemp`` +
-  ``os.replace`` atomicity as the planner cache — concurrent solvers
-  never lose each other's entries;
+  under an ``fcntl`` file lock, landing it with ``mkstemp`` +
+  ``os.replace`` — concurrent solvers never lose each other's entries
+  and a crash mid-write never leaves a torn shard behind;
+* each solve is written as it completes, so a killed run keeps every
+  structure it already solved;
 * readers stat-cache each shard by ``(mtime_ns, size)`` and re-parse
   only shards that actually changed, so probing a warm store costs a
   ``stat()`` and a dict lookup, not JSON decoding;
-* every shard carries the plan-cache schema ``version`` and a content
-  ``checksum``: a version bump (or torn/corrupt bytes) **invalidates**
-  the shard — it reads as empty and the next writer rebuilds it, so a
-  new piece format can never poison a running fleet.
+* every shard carries the schema ``version`` and a content
+  ``checksum``: a version bump, torn or non-UTF-8 bytes, or a malformed
+  entry **invalidates** the shard — it reads as empty (with one logged
+  warning naming the shard and the reason), and the next writer
+  rebuilds it, so a new piece format can never poison a running fleet.
 
 The store is deliberately dumb about values: it maps a canonical
 structure key to its mpLP piece list (the planner's own JSON piece
@@ -31,6 +35,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
+import logging
 import os
 import tempfile
 import threading
@@ -42,11 +47,14 @@ except ImportError:  # pragma: no cover
     fcntl = None
 
 from ..obs.trace import span as _span
+from . import faults
 
 __all__ = ["SharedPlanStore", "STORE_SCHEMA_VERSION"]
 
-#: Tracks the planner's plan-cache schema: bump both together.
+#: Schema of the persisted piece encoding: bump it when that changes.
 STORE_SCHEMA_VERSION = 1
+
+_log = logging.getLogger(__name__)
 
 
 def _checksum(entries: dict) -> str:
@@ -119,23 +127,48 @@ class SharedPlanStore:
 
     # -- reading ------------------------------------------------------------
 
-    def _parse_shard(self, text: str) -> dict | None:
-        """Entries of one shard, or None when the shard is untrustworthy."""
+    def _parse_shard(self, data: bytes) -> tuple[dict | None, str]:
+        """``(entries, "")``, or ``(None, reason)`` for an untrustworthy shard."""
         try:
-            blob = json.loads(text)
-        except ValueError:
-            return None
+            blob = json.loads(data)
+        except ValueError as exc:  # torn JSON or non-UTF-8 bytes
+            return None, f"unreadable: {exc}"
         if not isinstance(blob, dict) or not isinstance(blob.get("entries"), dict):
-            return None
+            return None, "not a shard object"
         if blob.get("version") != self.version:
-            return None
+            return None, f"schema version {blob.get('version')!r}, expected {self.version}"
+        entries = blob["entries"]
+        if not all(
+            isinstance(entry, dict) and isinstance(entry.get("pieces"), list)
+            for entry in entries.values()
+        ):
+            return None, "malformed entry"
         checksum = blob.get("checksum")
-        if checksum is not None and checksum != _checksum(blob["entries"]):
-            return None
-        return blob["entries"]
+        if checksum is not None and checksum != _checksum(entries):
+            return None, "checksum mismatch"
+        return entries, ""
+
+    def _read_shard(self, path: Path) -> dict | None:
+        """Entries of one shard file, or None when it is invalidated.
+
+        Raises :class:`OSError` when the file cannot be read at all.
+        """
+        data = path.read_bytes()
+        if faults.active("corrupt-cache-read"):
+            # Simulate a torn read: keep half the bytes.
+            data = data[: len(data) // 2]
+        entries, reason = self._parse_shard(data)
+        if entries is None:
+            with self._lock:
+                self.invalidated += 1
+            _log.warning(
+                "plan store shard %s invalidated (%s); it reads as empty "
+                "and the next write rebuilds it", path, reason,
+            )
+        return entries
 
     def _shard_entries(self, index: int) -> dict:
-        """Current entries of one shard (stat-cached; invalid reads count)."""
+        """Current entries of one shard (stat-cached; invalid reads as empty)."""
         path = self._shard_path(index)
         try:
             stat = path.stat()
@@ -149,16 +182,8 @@ class SharedPlanStore:
             if cached is not None and cached[0] == stamp:
                 return cached[1]
         try:
-            text = path.read_text()
+            entries = self._read_shard(path) or {}
         except OSError:
-            return {}
-        entries = self._parse_shard(text)
-        if entries is None:
-            # Stale version or torn bytes: treat as empty; the next
-            # writer rebuilds the shard under the current version.
-            with self._lock:
-                self.invalidated += 1
-                self._read_cache[index] = (stamp, {})
             return {}
         with self._lock:
             self._read_cache[index] = (stamp, entries)
@@ -173,10 +198,7 @@ class SharedPlanStore:
                     self.misses += 1
                 else:
                     self.hits += 1
-            if entry is None:
-                return None
-            pieces = entry.get("pieces")
-            return pieces if isinstance(pieces, list) else None
+            return None if entry is None else entry["pieces"]
 
     def keys(self) -> list[str]:
         """All keys currently stored, across every shard."""
@@ -201,17 +223,11 @@ class SharedPlanStore:
         path = self._shard_path(index)
         try:
             with _span("shared-store-publish"), self._shard_lock(index):
-                entries: dict = {}
                 try:
-                    current = self._parse_shard(path.read_text())
+                    # An invalidated shard is rebuilt from this entry.
+                    entries = dict(self._read_shard(path) or {})
                 except OSError:
-                    current = None
-                if current is not None:
-                    entries = dict(current)
-                elif path.exists():
-                    # Unreadable or stale-version shard: rebuild it.
-                    with self._lock:
-                        self.invalidated += 1
+                    entries = {}  # no shard yet
                 entries[key] = {"pieces": pieces}
                 payload = {
                     "version": self.version,

@@ -385,11 +385,13 @@ class TestSession:
         a.analyze(matmul(32, 32, 32), cache_words=64)
         assert b.analyze(matmul(8, 64, 2), cache_words=256).cache_hit is True
 
-    def test_invalid_session_args(self):
+    def test_invalid_session_args(self, tmp_path):
         with pytest.raises(ValueError):
             Session(engine="quantum")
         with pytest.raises(ValueError):
             Session(line_words=0)
+        with pytest.raises(ValueError, match="plan_cache"):
+            Session(planner=Planner(), plan_cache=tmp_path)  # never silently ignored
         with pytest.raises(RequestError):
             Session().analyze(matmul(4, 4, 4))  # missing cache_words
 

@@ -132,7 +132,7 @@ class TestSharedCacheAcrossRestarts:
         store_dir = tmp_path / "plans"
         body = {"problem": "matmul", "sizes": [48, 48, 48], "cache_words": 4096}
 
-        server, thread, base = _serve(Session(shared_cache=store_dir))
+        server, thread, base = _serve(Session(plan_cache=store_dir))
         try:
             status, first_raw = _post_raw(base, "/v1/analyze", body)
             assert status == 200
@@ -144,7 +144,7 @@ class TestSharedCacheAcrossRestarts:
 
         # A brand-new process (fresh Session, fresh planner) over the
         # same directory answers warm: the solve happened last "boot".
-        server, thread, base = _serve(Session(shared_cache=store_dir))
+        server, thread, base = _serve(Session(plan_cache=store_dir))
         try:
             status, second_raw = _post_raw(base, "/v1/analyze", body)
             assert status == 200
@@ -162,7 +162,7 @@ class TestSharedCacheAcrossRestarts:
         store_dir = tmp_path / "plans"
         body = {"problem": "matmul", "sizes": [16, 16, 16], "cache_words": 256}
 
-        server, thread, base = _serve(Session(shared_cache=store_dir))
+        server, thread, base = _serve(Session(plan_cache=store_dir))
         try:
             assert _post_raw(base, "/v1/analyze", body)[0] == 200
         finally:
@@ -171,7 +171,7 @@ class TestSharedCacheAcrossRestarts:
         # Restart under a bumped plan-cache schema: yesterday's entries
         # are invalid, so the server re-solves instead of trusting them.
         bumped = SharedPlanStore(store_dir, version=99)
-        server, thread, base = _serve(Session(shared_cache=bumped))
+        server, thread, base = _serve(Session(plan_cache=bumped))
         try:
             assert _post_raw(base, "/v1/analyze", body)[0] == 200
             health = _health(base)["payload"]

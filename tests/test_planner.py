@@ -3,7 +3,7 @@
 The planner's guard (primal feasibility + strong duality against the
 cached piecewise value function) is what lets it skip the simplex; the
 tests here pin that guarantee across the catalog, budgets, cache sizes,
-disguised structures, persistence round-trips, eviction, the batch
+disguised structures, plan-store round-trips, eviction, the batch
 engine, and the batch CLI.
 """
 
@@ -175,139 +175,29 @@ class TestCacheMechanics:
         assert repro.canonical_key(CATALOG["matmul"]) in keys
 
     def test_persistence_round_trip(self, tmp_path):
-        path = tmp_path / "plans.json"
-        first = Planner(cache_path=path)
+        first = Planner(shared_store=tmp_path)
         plan_a = first.plan(CATALOG["matmul"], 2**16)
         first.plan(CATALOG["nbody"], 2**12)
-        first.save()
 
-        second = Planner(cache_path=path)
-        assert sorted(second.cached_keys()) == sorted(first.cached_keys())
+        # A second planner on the same store (a later run) adopts every
+        # structure on its first miss instead of re-solving it.
+        second = Planner(shared_store=tmp_path)
         plan_b = second.plan(CATALOG["matmul"], 2**16)
-        # Loaded structures serve without any multiparametric re-solve.
+        second.plan(CATALOG["nbody"], 2**12)
         assert second.stats.structure_solves == 0
+        assert sorted(second.cached_keys()) == sorted(first.cached_keys())
         assert plan_b.exponent == plan_a.exponent
         assert plan_b.tile.blocks == plan_a.tile.blocks
         assert plan_b.cache_hit
 
     def test_persisted_pieces_are_exact_fractions(self, tmp_path):
-        path = tmp_path / "plans.json"
-        planner = Planner(cache_path=path)
+        planner = Planner(shared_store=tmp_path)
         planner.plan(CATALOG["matmul"], 2**16)
-        planner.save()
-        blob = json.loads(path.read_text())
-        entry = blob["entries"][repro.canonical_key(CATALOG["matmul"])]
+        key = repro.canonical_key(CATALOG["matmul"])
+        (shard,) = tmp_path.glob("shard-*.json")
+        entry = json.loads(shard.read_text())["entries"][key]
         constants = {piece["c"] for piece in entry["pieces"]}
         assert "3/2" in constants  # the classical sqrt(M) piece, exactly
-
-    def test_unsupported_cache_version_quarantined(self, tmp_path):
-        # An unreadable cache must never take the planner down: the bad
-        # file is moved aside as <name>.corrupt and planning starts from
-        # an empty cache.
-        path = tmp_path / "plans.json"
-        original = json.dumps({"version": 999, "entries": {}})
-        path.write_text(original)
-        planner = Planner(cache_path=path)
-        assert planner.cached_keys() == []
-        assert not path.exists()
-        corrupt = tmp_path / "plans.json.corrupt"
-        assert corrupt.read_text() == original
-        # And the planner still works end to end afterwards.
-        plan = planner.plan(CATALOG["matmul"], 2**12)
-        assert plan.exponent > 0
-
-    def test_truncated_cache_quarantined(self, tmp_path):
-        # Simulates a crash mid-write by a non-atomic writer (or disk
-        # corruption): half a JSON document on disk.
-        path = tmp_path / "plans.json"
-        good = Planner(cache_path=path)
-        good.plan(CATALOG["matmul"], 2**12)
-        good.save()
-        text = path.read_text()
-        path.write_text(text[: len(text) // 2])
-        planner = Planner(cache_path=path)
-        assert planner.cached_keys() == []
-        assert (tmp_path / "plans.json.corrupt").exists()
-        assert not path.exists()
-
-    def test_empty_cache_file_quarantined(self, tmp_path):
-        path = tmp_path / "plans.json"
-        path.write_text("")
-        planner = Planner(cache_path=path)
-        assert planner.cached_keys() == []
-        assert (tmp_path / "plans.json.corrupt").exists()
-
-    def test_checksum_mismatch_quarantined(self, tmp_path):
-        # A bit-flipped entry is caught by the embedded sha256 even when
-        # the JSON itself still parses.
-        path = tmp_path / "plans.json"
-        good = Planner(cache_path=path)
-        good.plan(CATALOG["matmul"], 2**12)
-        good.save()
-        blob = json.loads(path.read_text())
-        key = next(iter(blob["entries"]))
-        blob["entries"][key]["pieces"][0]["c"] = "999999/7"
-        path.write_text(json.dumps(blob))
-        planner = Planner(cache_path=path)
-        assert planner.cached_keys() == []
-        assert (tmp_path / "plans.json.corrupt").exists()
-
-    def test_quarantine_then_save_round_trips(self, tmp_path):
-        # After quarantining, the same path is reusable for a fresh
-        # save/load cycle.
-        path = tmp_path / "plans.json"
-        path.write_text("{not json")
-        planner = Planner(cache_path=path)
-        planner.plan(CATALOG["nbody"], 2**12)
-        planner.save()
-        reloaded = Planner(cache_path=path)
-        assert reloaded.cached_keys() == planner.cached_keys()
-        assert (tmp_path / "plans.json.corrupt").exists()
-
-    def test_save_is_atomic_no_tmp_droppings(self, tmp_path):
-        # Crash-safety contract: the write goes to a mkstemp sibling and
-        # lands via os.replace; after a successful save no temp files
-        # remain and the target parses as complete JSON.
-        path = tmp_path / "plans.json"
-        planner = Planner(cache_path=path)
-        planner.plan(CATALOG["matmul"], 2**12)
-        planner.save()
-        planner.plan(CATALOG["nbody"], 2**12)
-        planner.save()  # overwrite: still atomic, still complete
-        assert [p.name for p in tmp_path.iterdir()] == ["plans.json"]
-        blob = json.loads(path.read_text())
-        assert len(blob["entries"]) == 2
-
-    def test_concurrent_saves_never_interleave(self, tmp_path):
-        # Many threads hammering save() on one shared planner (the
-        # concurrent-Session scenario): every observable file state must
-        # be a complete, parseable snapshot with all structures present.
-        import threading
-
-        path = tmp_path / "plans.json"
-        planner = Planner(cache_path=path)
-        for nest in (CATALOG["matmul"], CATALOG["nbody"], CATALOG["matvec"]):
-            planner.plan(nest, 2**12)
-        expected = sorted(planner.cached_keys())
-        errors = []
-
-        def hammer():
-            try:
-                for _ in range(10):
-                    planner.save()
-                    blob = json.loads(path.read_text())
-                    assert blob["version"] == 1
-                    assert sorted(blob["entries"]) == expected
-            except Exception as exc:  # pragma: no cover - failure detail
-                errors.append(exc)
-
-        threads = [threading.Thread(target=hammer) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert not errors
-        assert Planner(cache_path=path).stats.structure_solves == 0
 
 
 class TestPlanBatch:
@@ -389,20 +279,26 @@ class TestBatchCLI:
         sol = solve_tiling(matmul(256, 256, 16), 4096)
         assert Fraction(payloads[0]["k_hat"]) == sol.exponent
 
-    def test_batch_mode_with_plan_cache(self, tmp_path, capsys):
-        requests = [{"problem": "matvec", "cache_words": 1024}]
+    def test_batch_mode_with_plan_cache(self, tmp_path, capsys, monkeypatch):
+        requests = [{"problem": "matvec", "cache_words": 1024},
+                    {"problem": "matmul", "cache_words": 1024}]
         req_path = tmp_path / "requests.json"
         req_path.write_text(json.dumps({"requests": requests}))
-        cache_path = tmp_path / "plans.json"
-        assert main(["--batch", str(req_path), "--workers", "0",
-                     "--plan-cache", str(cache_path)]) == 0
+        store = tmp_path / "plans"
+        argv = ["--batch", str(req_path), "--workers", "0", "--plan-cache", str(store)]
+        assert main(argv) == 0
         capsys.readouterr()
-        assert cache_path.exists()
-        # Second run loads the cache: the query is a structure hit.
-        assert main(["--batch", str(req_path), "--workers", "0",
-                     "--plan-cache", str(cache_path)]) == 0
-        line = json.loads(capsys.readouterr().out.splitlines()[0])
-        assert line["meta"]["cache_hit"] is True
+        assert list(store.glob("shard-*.json"))
+        # Second run adopts from the store: nothing is solved again and
+        # every query is a structure hit.
+        def no_solve(nest):
+            raise AssertionError("structure re-solved despite the plan store")
+
+        monkeypatch.setattr("repro.plan.planner.parametric_tile_exponent", no_solve)
+        assert main(argv) == 0
+        lines = [json.loads(ln) for ln in capsys.readouterr().out.splitlines()]
+        assert len(lines) == 2
+        assert all(ln["meta"]["cache_hit"] is True for ln in lines)
 
     def test_sweep_mode_problem(self, capsys):
         rc = main([

@@ -194,25 +194,32 @@ class TestSessionChaos:
         assert deadlined.ok
         assert deadlined.payload == baseline.payload
 
-    def test_corrupt_cache_at_session_start(self, tmp_path):
-        path = tmp_path / "plans.json"
-        path.write_text('{"version": 1, "entries": {"garbage": 12}}')
-        session = Session(plan_cache=path)  # must not raise
-        assert (tmp_path / "plans.json.corrupt").exists()
-        result = session.analyze(CATALOG["matmul"], 1024)
+    def test_corrupt_cache_at_session_start(self, tmp_path, caplog):
+        store = tmp_path / "plans"
+        store.mkdir()
+        for index in range(8):
+            (store / f"shard-{index:03d}.json").write_text(
+                '{"version": 1, "entries": {"garbage": 12}}'
+            )
+        session = Session(plan_cache=store)  # must not raise
+        with caplog.at_level("WARNING", logger="repro.util.sharedstore"):
+            result = session.analyze(CATALOG["matmul"], 1024)
         assert result.ok
         assert result.payload == Session().analyze(CATALOG["matmul"], 1024).payload
+        assert session.planner.shared_store.stats_dict()["invalidated"] >= 1
+        assert "shard-" in caplog.text and "malformed entry" in caplog.text
 
     def test_injected_corrupt_cache_read(self, tmp_path):
-        path = tmp_path / "plans.json"
-        good = Session(plan_cache=path)
-        good.analyze(CATALOG["matmul"], 1024)
-        good.planner.save()
+        store = tmp_path / "plans"
+        good = Session(plan_cache=store)
+        clean = good.analyze(CATALOG["matmul"], 1024)
         with faults.inject("corrupt-cache-read"):
-            session = Session(plan_cache=path)
-        assert session.planner.cached_keys() == []
-        assert (tmp_path / "plans.json.corrupt").exists()
-        assert session.analyze(CATALOG["matmul"], 1024).ok
+            session = Session(plan_cache=store)
+            result = session.analyze(CATALOG["matmul"], 1024)
+        # The torn shard read as empty: the structure was solved afresh.
+        assert result.ok and result.payload == clean.payload
+        assert session.planner.stats.structure_solves == 1
+        assert session.planner.shared_store.stats_dict()["invalidated"] >= 1
 
     def test_worker_crash_mid_batch_degrades_gracefully(self):
         _require_pool()

@@ -7,6 +7,7 @@ invalidation, corruption handling, counters) and its planner wiring
 
 import json
 import shutil
+import threading
 
 import pytest
 
@@ -59,6 +60,24 @@ class TestStoreBasics:
             store._shard_index(key) == other._shard_index(key) for key in keys
         )
         assert len(list(tmp_path.glob("shard-*.json"))) > 1
+
+    def test_concurrent_puts_never_lose_entries(self, tmp_path):
+        # Many writers on one shard (threads standing in for processes):
+        # the file lock serializes read-merge-write, so every key lands,
+        # and the mkstemp + os.replace writes leave no temp files behind.
+        store = SharedPlanStore(tmp_path, shards=1)
+        keys = [f"key-{i}" for i in range(32)]
+        threads = [
+            threading.Thread(target=store.put, args=(key, PIECES_A)) for key in keys
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
+        assert sorted(SharedPlanStore(tmp_path, shards=1).keys()) == sorted(keys)
+        assert store.stats_dict()["puts"] == len(keys)
+        assert not list(tmp_path.glob("*.tmp"))
 
     def test_rejects_bad_shard_count(self, tmp_path):
         with pytest.raises(ValueError):
@@ -122,6 +141,29 @@ class TestInvalidation:
         store = SharedPlanStore(tmp_path, shards=1)
         store._shard_path(0).write_text(json.dumps({"version": 1, "entries": []}))
         assert store.get("k1") is None
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            b'{"version": 1, "entries": {"k1": "\x80\xff"}}',
+            json.dumps({"version": 1, "entries": {"k1": 12}}).encode(),
+            b"",
+        ],
+        ids=["non-utf8-bytes", "non-object-entry", "empty-file"],
+    )
+    def test_malformed_shard_reads_as_empty_and_is_rebuilt(self, tmp_path, raw, caplog):
+        # Neither read nor write may raise on a malformed shard: it is
+        # invalidated (one warning naming the shard), and a put rebuilds it.
+        store = SharedPlanStore(tmp_path, shards=1)
+        path = store._shard_path(0)
+        path.write_bytes(raw)
+        with caplog.at_level("WARNING", logger="repro.util.sharedstore"):
+            assert store.get("k1") is None
+        assert store.stats_dict()["invalidated"] == 1
+        assert str(path) in caplog.text
+        assert SharedPlanStore(tmp_path, shards=1).put("k2", PIECES_B)
+        assert store.get("k2") == PIECES_B
+        assert store.keys() == ["k2"]
 
     def test_put_failure_is_counted_not_raised(self, tmp_path):
         root = tmp_path / "store"
