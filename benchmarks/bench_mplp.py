@@ -3,14 +3,23 @@
 Regenerates the closed forms for the catalog problems, counts pieces,
 verifies the piecewise function against the LP on a beta grid, and
 times the dual-vertex enumeration.
+
+A last leg (not gated) times the cold ``parametric_tile_exponent`` of
+the deepest structures, tucker_core and a depth-8 nest with 6 arrays,
+best of several runs, and writes ``benchmarks/results/BENCH_mplp.json``.
 """
 
+import json
+import math
+import time
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
 from repro.core.bounds import tile_exponent
-from repro.core.mplp import parametric_tile_exponent
+from repro.core.loopnest import ArrayRef, LoopNest
+from repro.core.mplp import _dual_vertices, parametric_tile_exponent
 from repro.library.problems import (
     matmul,
     matvec,
@@ -19,7 +28,10 @@ from repro.library.problems import (
     pointwise_conv,
     tensor_contraction,
     ttm,
+    tucker_core,
 )
+
+RESULTS = Path(__file__).parent / "results"
 
 STRUCTURES = {
     "matmul": matmul(4, 4, 4),
@@ -99,3 +111,50 @@ def test_e10_region_structure_matmul(benchmark, table):
     piece = next(p for p in pvf.pieces if p.coeffs == (0, 0, 1))
     region = pvf.region_inequalities(piece)
     assert (F(1, 2), (F(0), F(0), F(-1))) in region
+
+
+_DEEP_SUPPORTS = ((0, 1, 2, 4, 5, 6, 7), (2, 4), (1, 3, 5), (0, 2, 6), (0, 1, 6, 7), (4, 5))
+COLD_STRUCTURES = {
+    "tucker_core": tucker_core(4, 4, 4, 4, 4, 4),
+    "deep_8x6": LoopNest(
+        name="deep_8x6",
+        loops=tuple(f"x{i}" for i in range(8)),
+        bounds=(4,) * 8,
+        arrays=tuple(
+            ArrayRef(f"A{j}", s, is_output=(j == 0)) for j, s in enumerate(_DEEP_SUPPORTS)
+        ),
+    ),
+}
+
+
+def _best_ms(fn, runs: int) -> float:
+    best = math.inf
+    for _ in range(runs):
+        start = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - start)
+    return round(1e3 * best, 2)
+
+
+def test_e10_cold_solve_deep_structures(table, smoke):
+    """Cold enumeration and whole solve of the deepest structures (not gated)."""
+    runs = 1 if smoke else 7
+    columns = ["depth", "arrays", "systems", "vertices", "pieces", "enumerate ms", "solve ms"]
+    t = table("e10_cold_deep", ["structure", *columns])
+    payload = {"experiment": "mplp_cold_deep", "runs": runs, "structures": {}}
+    for name, nest in COLD_STRUCTURES.items():
+        d, n = nest.depth, nest.num_arrays
+        row = {
+            "depth": d,
+            "arrays": n,
+            "systems": math.comb(d + n, n),
+            "vertices": len(_dual_vertices(nest)),
+            "pieces": len(parametric_tile_exponent(nest).pieces),
+            "enumerate_ms": _best_ms(lambda: _dual_vertices(nest), runs),
+            "solve_ms": _best_ms(lambda: parametric_tile_exponent(nest), runs),
+        }
+        payload["structures"][name] = row
+        t.add(name, *row.values())
+    if not smoke:
+        RESULTS.mkdir(exist_ok=True)
+        (RESULTS / "BENCH_mplp.json").write_text(json.dumps(payload, indent=2) + "\n")

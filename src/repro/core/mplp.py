@@ -18,12 +18,11 @@ so ``f`` is the lower envelope of finitely many *affine* functions of
 ``beta``, one per vertex of ``D``.  One cold solve per canonical
 structure therefore serves every later query for it.  The solve:
 
-* enumerates ``vert(D)`` (:func:`_dual_vertices`): every choice of
-  ``d + n`` of the ``2d + n`` facets is a candidate basis.  Candidates
-  are drawn in numpy blocks; a combinatorial prefilter drops those
-  whose free variables cannot give a nonsingular, feasible basis, and
-  the survivors are solved exactly in integers by fraction-free
-  elimination, each on the small block its covering rows leave free;
+* enumerates ``vert(D)`` (:func:`_dual_vertices`).  At a vertex
+  ``zeta_i = max(0, 1 - sum_{j in R_i} s_j)``, so the vertices are the
+  ``s >= 0`` vertices of an arrangement of ``d + n`` hyperplanes in
+  ``s``-space.  All ``C(d + n, n)`` of its ``n x n`` systems are solved
+  exactly in integers by fraction-free elimination, in numpy blocks;
   feasibility and deduplication are integer tests too, and ``Fraction``
   coordinates are built only for the distinct vertices;
 * prunes pieces that are nowhere strictly minimal
@@ -178,40 +177,37 @@ class PiecewiseValueFunction:
         return f"f(beta) = min({body})"
 
 
-#: Facet subsets drawn and prefiltered per numpy block, and grid points
+#: Systems of the enumeration solved per numpy block, and grid points
 #: evaluated per block of the prune's screen; also the granularity of
 #: the ``mplp-enumeration`` and ``mplp-prune`` deadline checkpoints.
-#: Only the prefilter's survivors of a block (15-23% on average on
-#: random nests of depth 4-6) are eliminated, which bounds the elimination scratch that stays
-#: in the malloc arena of every handler thread solving a block.
+#: A block of ``n x (n + 1)`` systems is the whole elimination scratch
+#: that stays in the malloc arena of every handler thread solving one.
 _CHUNK = 512
-#: Deepest nest whose bases are eliminated in int64: the entries are
-#: minors of a 0/1 matrix of at most this size, and even a product of
-#: two Hadamard-bounded ones stays below 2**63.  Deeper nests use Python
-#: integers (numpy object arrays), in the prune's screen too.
+#: Deepest nest whose systems are eliminated in int64.  Every entry is
+#: a minor of a 0/1 system whose rows past its covering ones are unit
+#: rows; expanding along those leaves a 0/1 minor of at most
+#: ``min(d, n)`` covering rows, and even a product of two
+#: Hadamard-bounded ones of that size stays below 2**63.  Deeper nests
+#: use Python integers (numpy object arrays), in the prune's screen too.
 _INT64_DEPTH = 20
 
 
-def _facets(nest: LoopNest) -> tuple[np.ndarray, np.ndarray]:
-    """Facets of D as integer rows ``F x >= rhs``.
+def _hyperplanes(nest: LoopNest) -> np.ndarray:
+    """The arrangement in ``s``-space as integer rows ``[H | h]`` of
+    ``H s = h``.
 
-    Variables: ``zeta_0..zeta_{d-1}, s_0..s_{n-1}`` (dimension d+n).
-    Rows: ``zeta_i + sum_{j in R_i} s_j >= 1`` (d covering rows, one per
-    loop), then nonnegativity (d+n unit rows).
+    Rows: ``sum_{j in R_i} s_j = 1`` (d covering hyperplanes, one per
+    loop), then ``s_j = 0`` (n coordinate hyperplanes).
     """
     d, n = nest.depth, nest.num_arrays
-    dim = d + n
-    dtype = np.int64 if d <= _INT64_DEPTH else object
-    rows = np.zeros((d + dim, dim), dtype=dtype)
+    rows = np.zeros((d + n, n + 1), dtype=np.int64 if d <= _INT64_DEPTH else object)
     for i in range(d):
-        rows[i, i] = 1
+        rows[i, n] = 1
         for j in nest.arrays_containing(i):
-            rows[i, d + j] = 1
-    for v in range(dim):
-        rows[d + v, v] = 1
-    rhs = np.zeros(d + dim, dtype=dtype)
-    rhs[:d] = 1
-    return rows, rhs
+            rows[i, j] = 1
+    for j in range(n):
+        rows[d + j, j] = 1
+    return rows
 
 
 def _solve_bases(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -259,96 +255,55 @@ def _intern(value: Fraction) -> Fraction:
 def _dual_vertices(nest: LoopNest) -> list[tuple[tuple[Fraction, ...], tuple[Fraction, ...]]]:
     """Enumerate the vertices of the beta-independent dual polyhedron D.
 
-    A vertex is a feasible point where some d+n linearly-independent
-    facets (see :func:`_facets`) are tight.  Every facet subset is a
-    candidate basis; vertices come back in the order of the first
-    subset (in ``combinations`` order) that yields them.  Arrays with
-    empty support never appear in covering rows, so their ``s_j`` is 0
-    at every vertex (tight nonnegativity is the only option).
+    ``zeta_i`` appears only in ``zeta_i >= 0`` and covering row ``i``, so
+    at a vertex ``zeta_i = max(0, 1 - R_i s)``: otherwise it could move
+    both ways.  Hence ``(zeta, s)`` is a vertex of D exactly when
+    ``s >= 0`` is a vertex of the arrangement of :func:`_hyperplanes`.
+    Every choice of ``n`` of its ``d + n`` hyperplanes is solved exactly
+    in integers, ``_CHUNK`` systems at a time (:func:`_solve_bases`);
+    the ``s >= 0`` solutions dedupe on the gcd-normalised key
+    ``(*num, den)``, and ``zeta`` follows in integers.
 
-    Subsets are drawn ``_CHUNK`` at a time, :func:`_prefilter` drops
-    those that cannot be a basis before any arithmetic, and the
-    survivors are solved exactly in integers (:func:`_block_vertices`).
-    Deduplication is on the gcd-normalised key ``(num, den)``, and
-    ``Fraction`` coordinates are built only for distinct vertices.
+    Vertices come back in the order of a sweep over the facets of D:
+    each at the first choice of ``d + n`` facets, in ``combinations``
+    order, that yields it.  That choice is the lexicographically first
+    basis of the facets tight at the vertex, so (linear independence
+    being a matroid) the greedy one in facet order: every tight
+    covering row, ``zeta_i >= 0`` wherever ``R_i s > 1``, then the
+    facets ``zeta_i >= 0`` and ``s_j >= 0`` that stand for the first
+    system of hyperplanes yielding ``s``.  Vertices sort on that tuple.
     """
-    d = nest.depth
-    rows, rhs = _facets(nest)
-    dim = rows.shape[1]
-    cover = rows[:d] != 0
-    vertices: list[tuple[tuple[Fraction, ...], tuple[Fraction, ...]]] = []
-    seen: set[tuple[int, ...]] = set()
-    subsets = combinations(range(rows.shape[0]), dim)
+    d, n = nest.depth, nest.num_arrays
+    rows = _hyperplanes(nest)
+    first: dict[tuple[int, ...], tuple[int, ...]] = {}
+    bases = combinations(range(d + n), n)
     while True:
-        chunk = np.array(list(islice(subsets, _CHUNK)), dtype=np.intp)
+        chunk = np.array(list(islice(bases, _CHUNK)), dtype=np.intp)
         if not len(chunk):
             break
-        tight = np.zeros((len(chunk), d + dim), dtype=bool)
-        np.put_along_axis(tight, chunk, True, axis=1)
-        useful = _prefilter(tight, cover)
-        if useful.any():
-            for key in _block_vertices(chunk[useful], tight[useful], rows, rhs):
-                if key in seen:
-                    continue
-                seen.add(key)
-                point = tuple(_intern(Fraction(v, key[-1])) for v in key[:-1])
-                vertices.append((point[:d], point[d:]))
+        index, den, num = _solve_bases(rows[chunk])
+        feasible = (num >= 0).all(axis=1)
+        index, den, num = index[feasible], den[feasible], num[feasible]
+        gcd = np.gcd(np.gcd.reduce(num, axis=1), den)
+        keys = np.column_stack([num // gcd[:, None], den // gcd]).tolist()
+        for key, basis in zip(map(tuple, keys), chunk[index].tolist()):
+            first.setdefault(key, basis)
         checkpoint("mplp-enumeration")
-    return vertices
-
-
-def _block_vertices(
-    chunk: np.ndarray, tight: np.ndarray, rows: np.ndarray, rhs: np.ndarray
-) -> list[tuple[int, ...]]:
-    """The feasible points of a block of facet subsets, as gcd-normalised
-    integer keys ``(*num, den)`` in subset order (singular subsets give
-    none).
-
-    A subset of k covering rows fixes the d+n-k variables of its unit
-    rows at 0, so its system reduces to the k x k block of the covering
-    rows on the free variables, padded to d x d with identity rows, and
-    is solved exactly in integers (:func:`_solve_bases`).  Feasibility
-    ``F num >= den rhs`` is an integer test too.
-    """
-    d = len(rows) - rows.shape[1]
-    # Subsets are sorted, so their k covering rows (indices < d) come
-    # first; put the k free variables first too (False sorts before
-    # True).  Positions past k are padding: point them at row 0, then
-    # overwrite them with identity rows and columns.
-    live = chunk[:, :d] < d
-    cols = np.argsort(tight[:, d:], axis=1, kind="stable")[:, :d]
-    system = np.empty((len(chunk), d, d + 1), dtype=rows.dtype)
-    block = system[:, :, :d]
-    block[...] = rows[np.where(live, chunk[:, :d], 0)[:, :, None], cols[:, None, :]]
-    block[~live[:, :, None] | ~live[:, None, :]] = 0
-    padded, position = np.nonzero(~live)
-    block[padded, position, position] = 1
-    system[:, :, d] = live
-    index, den, sub = _solve_bases(system)
-    num = np.zeros((len(index), rows.shape[1]), dtype=rows.dtype)
-    np.put_along_axis(num, cols[index], sub, axis=1)
-    feasible = np.all(num @ rows.T >= den[:, None] * rhs, axis=1)
-    den, num = den[feasible], num[feasible]
-    gcd = np.gcd(np.gcd.reduce(num, axis=1), den)
-    return list(map(tuple, np.column_stack([num // gcd[:, None], den // gcd]).tolist()))
-
-
-def _prefilter(tight: np.ndarray, cover: np.ndarray) -> np.ndarray:
-    """Which facet subsets can be a feasible, nonsingular basis.
-
-    ``tight[k]`` marks the facets of subset k (covering rows first, then
-    one unit row per variable) and ``cover`` is the 0/1 pattern of the
-    covering rows, as booleans.  A variable is free when its unit row is
-    not in the subset.  A subset survives only if every covering row
-    contains a free variable (else the row is 0 at the point:
-    infeasible, or singular if the row is tight) and every free variable
-    lies in a tight covering row (else its column of the system is 0).
-    Two boolean matrix products per block; dropped subsets yield no
-    vertex, so filtering changes no output.
-    """
-    d = len(cover)
-    free = ~tight[:, d:]
-    return (free @ cover.T).all(axis=1) & (tight[:, :d] @ cover | ~free).all(axis=1)
+    covering = [nest.arrays_containing(i) for i in range(d)]
+    vertices = []
+    for key, basis in first.items():
+        num, den = key[:-1], key[-1]
+        load = [sum(num[j] for j in arrays) for arrays in covering]
+        # Facet d + b of D (zeta_i >= 0, then s_j >= 0) stands for
+        # hyperplane b of the arrangement.
+        facets = [i for i in range(d) if load[i] <= den] + sorted(
+            {d + i for i in range(d) if load[i] > den}.union(d + b for b in basis)
+        )
+        zeta = tuple(_intern(Fraction(max(0, den - v), den)) for v in load)
+        s = tuple(_intern(Fraction(v, den)) for v in num)
+        vertices.append((facets, zeta, s))
+    vertices.sort(key=lambda v: v[0])
+    return [(zeta, s) for _, zeta, s in vertices]
 
 
 def _scaled_pieces(pieces: list[AffinePiece], d: int) -> np.ndarray:
@@ -376,8 +331,7 @@ def _screen(pieces: list[AffinePiece], d: int) -> np.ndarray:
     when neither test decides.  Pieces must be distinct.  Values are
     compared exactly, in integers (:func:`_scaled_pieces`), ``_CHUNK``
     grid points at a time; the grid stops early once every piece is
-    decided.  Its ``3**d`` points are always fewer than the
-    ``C(2d + n, d + n)`` bases the enumeration visits.
+    decided.
     """
     weights = _scaled_pieces(pieces, d)
     below = (weights[None, :, :] <= weights[:, None, :]).all(axis=2)

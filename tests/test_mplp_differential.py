@@ -1,16 +1,19 @@
 """Differential tests: the batched cold solve against the brute-force one.
 
-``repro.core.mplp`` solves facet subsets in batched integer
-arithmetic.  The oracles below are the original implementation, kept
-verbatim: one exact ``Fraction`` solve per facet subset, then one exact
-LP per piece.  Every comparison is on the full piece tuples,
+``repro.core.mplp`` solves the small systems of a hyperplane
+arrangement in ``s``-space in batched integer arithmetic.  The oracles
+below are the original implementation, kept verbatim: one exact
+``Fraction`` solve per subset of the facets of D, then one exact LP per
+piece.  Every comparison is on the full piece tuples,
 ``source_zeta``/``source_s`` and order included.  The prune's exact
 screen is checked verdict by verdict against the reference LP, and the
-enumeration's prefilter subset by subset against the reference solve.
+enumeration's lemma structure by structure against the reference
+vertices.  A nest too deep for the oracles is pinned by a golden.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import os
 import random
@@ -194,6 +197,18 @@ def _random_structures(count: int = 60) -> list[LoopNest]:
 
 CATALOG = _catalog_structures()
 RANDOM = _random_structures()
+#: The deepest structure under test: depth 8, 6 arrays.
+DEEP_NEST = LoopNest(
+    name="deep",
+    loops=tuple(f"x{i}" for i in range(8)),
+    bounds=(96, 80, 72, 64, 56, 48, 40, 36),
+    arrays=tuple(
+        ArrayRef(f"A{j}", s, is_output=(j == 0))
+        for j, s in enumerate(
+            ((0, 1, 2, 4, 5, 6, 7), (2, 4), (1, 3, 5), (0, 2, 6), (0, 1, 6, 7), (4, 5))
+        )
+    ),
+)
 
 
 @st.composite
@@ -264,28 +279,6 @@ def assert_screen_matches_oracle(nest: LoopNest) -> None:
             assert (verdict > 0) == essential
 
 
-def _dropped_subsets(nest: LoopNest) -> list[tuple[int, ...]]:
-    """Facet subsets the enumeration's prefilter drops."""
-    rows, _ = mplp._facets(nest)
-    subsets = list(combinations(range(rows.shape[0]), rows.shape[1]))
-    tight = np.zeros((len(subsets), rows.shape[0]), dtype=bool)
-    for k, subset in enumerate(subsets):
-        tight[k, list(subset)] = True
-    useful = mplp._prefilter(tight, rows[: nest.depth] != 0)
-    return [subset for subset, keep in zip(subsets, useful) if not keep]
-
-
-def _is_vertex_basis(facets: list, subset: tuple[int, ...]) -> bool:
-    """Whether a facet subset is nonsingular with a feasible solution."""
-    try:
-        x = solve_square([facets[k][0] for k in subset], [facets[k][1] for k in subset])
-    except SingularMatrixError:
-        return False
-    return all(
-        sum((r * xv for r, xv in zip(row, x)), start=_ZERO) >= rhs for row, rhs in facets
-    )
-
-
 class TestScreenAgainstOracle:
     @pytest.mark.parametrize("name", sorted(CATALOG))
     def test_catalog_structure(self, name):
@@ -319,19 +312,34 @@ class TestScreenAgainstOracle:
             assert mplp._screen(p, depth[name]).tolist() == expected[name]
 
 
-_PREFILTER_STRUCTURES = {
+_LEMMA_STRUCTURES = {
     **{f"catalog-{name}": nest for name, nest in CATALOG.items()},
     **{f"random-6x4-{k}": nest for k, nest in enumerate(RANDOM[2::3][:10])},
 }
 
 
-@pytest.mark.parametrize("name", sorted(_PREFILTER_STRUCTURES))
-def test_prefilter_drops_only_non_bases(name):
-    nest = _PREFILTER_STRUCTURES[name]
-    facets = _reference_facets(nest)
-    dropped = _dropped_subsets(nest)
-    assert dropped
-    assert not any(_is_vertex_basis(facets, subset) for subset in dropped)
+@pytest.mark.parametrize("name", sorted(_LEMMA_STRUCTURES))
+def test_arrangement_vertices_lift_to_the_dual_vertices(name):
+    # The enumeration's lemma, checked with the reference solver: the
+    # s >= 0 solutions of the n x n systems of the arrangement
+    # {R_i s = 1} u {s_j = 0}, lifted by zeta_i = max(0, 1 - R_i s),
+    # are exactly the vertices of D.
+    nest = _LEMMA_STRUCTURES[name]
+    d, n = nest.depth, nest.num_arrays
+    covering = [row[d:] for row, _ in _reference_facets(nest)[:d]]
+    hyperplanes = [(row, _ONE) for row in covering]
+    hyperplanes += [([_ONE if k == j else _ZERO for k in range(n)], _ZERO) for j in range(n)]
+    lifted = set()
+    for combo in combinations(range(d + n), n):
+        try:
+            s = solve_square([hyperplanes[k][0] for k in combo], [hyperplanes[k][1] for k in combo])
+        except SingularMatrixError:
+            continue
+        if min(s, default=_ZERO) >= 0:
+            zeta = tuple(max(_ZERO, 1 - sum(r * v for r, v in zip(row, s))) for row in covering)
+            lifted.add((zeta, tuple(s)))
+    supports = tuple(tuple(a.support) for a in nest.arrays)
+    assert lifted == set(_oracle(supports, d)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +351,7 @@ def test_python_integer_path_matches_the_oracle(monkeypatch):
     # that path on a small nest.
     monkeypatch.setattr(mplp, "_INT64_DEPTH", 0)
     nest = CATALOG["mttkrp"]
-    assert mplp._facets(nest)[0].dtype == object
+    assert mplp._hyperplanes(nest).dtype == object
     assert_matches_oracle(nest)
 
 
@@ -395,11 +403,10 @@ def test_zero_and_one_coordinates_are_interned():
 
 def test_traced_solve_checkpoints_once_per_chunk():
     nest = CATALOG["tucker_core"]
-    dim = nest.depth + nest.num_arrays
-    subsets = math.comb(nest.depth + dim, dim)
+    systems = math.comb(nest.depth + nest.num_arrays, nest.num_arrays)
     with trace_scope() as trace:
         parametric_tile_exponent(nest)
-    assert trace.stage_counts["mplp-enumeration"] >= math.ceil(subsets / mplp._CHUNK)
+    assert trace.stage_counts["mplp-enumeration"] >= math.ceil(systems / mplp._CHUNK)
 
 
 def test_traced_solve_ticks_the_prune():
@@ -408,17 +415,44 @@ def test_traced_solve_ticks_the_prune():
     assert trace.stage_counts["mplp-prune"] >= 1
 
 
-def test_deep_cold_nest_honours_a_1ms_deadline():
-    depth, supports = 8, ((0, 1, 2, 4, 5, 6, 7), (2, 4), (1, 3, 5), (0, 2, 6), (0, 1, 6, 7), (4, 5))
-    nest = LoopNest(
-        name="deep",
-        loops=tuple(f"x{i}" for i in range(depth)),
-        bounds=(96, 80, 72, 64, 56, 48, 40, 36),
-        arrays=tuple(ArrayRef(f"A{j}", s, is_output=(j == 0)) for j, s in enumerate(supports)),
+@pytest.mark.parametrize("nest", [CATALOG["tucker_core"], DEEP_NEST], ids=["tucker_core", "deep"])
+def test_enumeration_solves_one_system_per_choice_of_n_hyperplanes(monkeypatch, nest):
+    solved = []
+    solve_bases = mplp._solve_bases
+
+    def counting_solve_bases(m):
+        solved.append(len(m))
+        return solve_bases(m)
+
+    monkeypatch.setattr(mplp, "_solve_bases", counting_solve_bases)
+    mplp._dual_vertices(nest)
+    assert sum(solved) == math.comb(nest.depth + nest.num_arrays, nest.num_arrays)
+
+
+def test_deep_nest_matches_its_golden():
+    # Too deep for the brute-force oracles in tier-1 time: the golden
+    # pins the output of the facet-subset sweep the enumeration replaced.
+    golden = json.loads((Path(__file__).parent / "golden" / "mplp_deep_nest.json").read_text())
+    assert [list(a.support) for a in DEEP_NEST.arrays] == golden["supports"]
+
+    def fractions(values):
+        return tuple(Fraction(v) for v in values)
+
+    def pieces(rows):
+        return [(Fraction(c), *map(fractions, rest)) for c, *rest in rows]
+
+    vertices = [(fractions(zeta), fractions(s)) for zeta, s in golden["vertices"]]
+    assert mplp._dual_vertices(DEEP_NEST) == vertices
+    assert _as_tuples(parametric_tile_exponent(DEEP_NEST, prune=False).pieces) == pieces(
+        golden["unpruned_pieces"]
     )
+    assert _as_tuples(parametric_tile_exponent(DEEP_NEST).pieces) == pieces(golden["pieces"])
+
+
+def test_deep_cold_nest_honours_a_1ms_deadline():
     started = time.perf_counter()
-    result = Session().analyze(nest, 65536, deadline_ms=1)
-    # The full solve takes seconds; a chunk between checkpoints, ~1 ms.
+    result = Session().analyze(DEEP_NEST, 65536, deadline_ms=1)
+    # The full solve takes tens of ms; a chunk between checkpoints, ~3 ms.
     assert time.perf_counter() - started < 1.0
     assert result.kind == "error"
     assert result.payload["status"] == 504
