@@ -274,9 +274,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--max-inflight", type=int, default=4,
                         help="server in-flight limit; small values force "
                              "continuous load shedding (default 4)")
-    parser.add_argument("--workers", type=int, default=0,
-                        help="process-pool size for cold structure solves "
-                             "(default 0 = solve in the handler thread)")
     parser.add_argument("--response-cache", type=int, default=256,
                         help="full-request response cache entries "
                              "(default 256; 0 = off)")
@@ -284,7 +281,7 @@ def main(argv: list[str] | None = None) -> int:
 
     server = make_server(
         port=0, session=Session(), max_inflight=args.max_inflight,
-        workers=args.workers, response_cache=args.response_cache,
+        response_cache=args.response_cache,
     )
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -309,8 +306,8 @@ def main(argv: list[str] | None = None) -> int:
         w.join(timeout=args.seconds + 90)
     elapsed = time.monotonic() - t0
 
-    # The health payload is part of the soak contract: worker-pool and
-    # cache counters must reflect the configuration we ran with.
+    # The health payload is part of the soak contract: the cache
+    # counters must reflect the configuration we ran with.
     health_problems: list[str] = []
     health_routes: dict | None = None
     try:
@@ -319,12 +316,6 @@ def main(argv: list[str] | None = None) -> int:
         ) as resp:
             health = json.load(resp)
         stats = health["payload"]["server"]
-        if stats["workers"]["configured"] != args.workers:
-            health_problems.append(
-                f"health reports workers={stats['workers']['configured']}, "
-                f"expected {args.workers}")
-        if args.workers and stats["workers"]["pool_started"] and not stats["workers"]["pool_alive"]:
-            health_problems.append("health reports a dead worker pool")
         if stats["response_cache"]["capacity"] != args.response_cache:
             health_problems.append(
                 f"health reports response cache capacity "
@@ -347,7 +338,7 @@ def main(argv: list[str] | None = None) -> int:
     total = sum(v for k, v in counts.items() if isinstance(k, int))
     print(f"soak: {total} responses in {elapsed:.1f}s "
           f"({args.threads} threads, max_inflight={args.max_inflight}, "
-          f"workers={args.workers}, response_cache={args.response_cache})")
+          f"response_cache={args.response_cache})")
     for key in sorted(counts, key=str):
         print(f"  {key}: {counts[key]}")
     if any(w.is_alive() for w in workers):

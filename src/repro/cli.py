@@ -195,14 +195,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
     )
     _add_plan_cache_argument(parser)
     parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="process-pool size for cold structure solves "
-        "(default: $REPRO_SERVE_WORKERS or 0 = solve in the handler thread)",
-    )
-    parser.add_argument(
         "--response-cache",
         type=int,
         default=None,
@@ -713,7 +705,6 @@ def _run_serve(argv: Sequence[str]) -> int:
             verbose=not args.quiet,
             max_inflight=args.max_inflight if args.max_inflight else DEFAULT_MAX_INFLIGHT,
             default_deadline_ms=args.default_deadline_ms,
-            workers=args.workers,
             response_cache=(
                 DEFAULT_RESPONSE_CACHE
                 if args.response_cache is None

@@ -8,7 +8,7 @@ query by exact piecewise evaluation.  This module is that shape over
 HTTP, with zero dependencies beyond the standard library:
 
 ====================  ======  =============================================
-``/v1/health``        GET     liveness + plan-cache + worker-pool stats
+``/v1/health``        GET     liveness + plan-cache + server stats
 ``/v1/metrics``       GET     Prometheus text exposition (repro.obs)
 ``/v1/<kind>``        POST    one row of :data:`repro.api.kinds.REQUEST_KINDS`
 ====================  ======  =============================================
@@ -20,9 +20,9 @@ envelope, every other kind with one Result.
 
 Architecture (see ``docs/serving.md``): an asyncio event loop owns the
 sockets (keep-alive, ``TCP_NODELAY``) and never blocks on solver work —
-request handling runs on a bounded thread pool, cold multiparametric
-solves can be dispatched to a **process pool** (``workers > 0``), and
-three caches stack in front of the solver:
+request handling runs on a bounded thread pool, a cold multiparametric
+solve runs on the handler thread behind the planner's per-structure
+gate, and three caches stack in front of the solver:
 
 * a **response cache** (``response_cache > 0``): verbatim repeats of a
   single-result request are answered on the event loop by splicing the
@@ -69,7 +69,6 @@ import asyncio
 import contextlib
 import json
 import logging
-import os
 import signal
 import socket
 import sys
@@ -78,9 +77,7 @@ import time
 import traceback
 import uuid
 from collections import OrderedDict
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from concurrent.futures import TimeoutError as FuturesTimeoutError
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import ThreadPoolExecutor
 
 from .api import SCHEMA_VERSION, RequestError, Result, Session
 from .api.kinds import REQUEST_KINDS, RequestKind
@@ -91,23 +88,13 @@ from .obs import (
     RequestTrace,
     coerce_trace_id,
     global_registry,
-    merge_worker_delta,
     mint_trace_id,
     render_counters,
     render_registry,
     span,
 )
 from .obs import trace as obs_trace
-from .plan.batch import _solve_structure
-from .util import faults
-from .util.deadline import (
-    Deadline,
-    DeadlineExceeded,
-    activate,
-    checkpoint,
-    current_deadline,
-    deactivate,
-)
+from .util.deadline import Deadline, DeadlineExceeded, activate, deactivate
 from .util.faults import InjectedFault
 
 __all__ = [
@@ -119,7 +106,6 @@ __all__ = [
     "DEFAULT_MAX_INFLIGHT",
     "DEFAULT_RESPONSE_CACHE",
     "DEFAULT_SLOW_REQUEST_MS",
-    "WORKERS_ENV_VAR",
 ]
 
 _log = logging.getLogger("repro.serve")
@@ -136,10 +122,6 @@ DEFAULT_MAX_INFLIGHT = 64
 #: Response-cache capacity the CLI server runs with (``make_server``
 #: defaults to 0 = off, so tests opt in explicitly).
 DEFAULT_RESPONSE_CACHE = 1024
-
-#: ``make_server(workers=None)`` reads the worker-pool size from here,
-#: so an unmodified test suite can run against a multi-worker server.
-WORKERS_ENV_VAR = "REPRO_SERVE_WORKERS"
 
 #: Requests slower than this get their span tree logged (structured
 #: JSON on the ``repro.serve`` logger); CLI flag ``--slow-request-ms``.
@@ -239,8 +221,10 @@ class ServiceServer:
     is shed with 429); ``default_deadline_ms`` applies to requests that
     do not carry their own ``deadline_ms``; :meth:`drain` flips the
     server into load-shedding-everything mode (503) ahead of shutdown;
-    ``workers > 0`` adds a process pool for cold structure solves;
     ``response_cache > 0`` turns on the full-request response cache.
+    Cold structures are solved by the session's planner on the handler
+    thread; its per-structure gate makes concurrent requests for one
+    new structure share a single solve.
     """
 
     def __init__(
@@ -251,7 +235,6 @@ class ServiceServer:
         verbose: bool = False,
         max_inflight: int = DEFAULT_MAX_INFLIGHT,
         default_deadline_ms: float | None = None,
-        workers: int = 0,
         response_cache: int = 0,
         slow_request_ms: float | None = DEFAULT_SLOW_REQUEST_MS,
     ):
@@ -259,15 +242,14 @@ class ServiceServer:
         self.verbose = verbose
         self.max_inflight = int(max_inflight)
         self.default_deadline_ms = default_deadline_ms
-        self.workers = int(workers)
         self.slow_request_ms = slow_request_ms
         self.draining = False
         self._inflight = 0
         self._inflight_lock = threading.Lock()
-        #: One lock makes every server-stat snapshot atomic (satellite
-        #: fix: health/metrics taken mid-drain() must never see torn
-        #: worker/cache state).  Order: _stats_lock before _pool_lock /
-        #: _response_cache_lock / _inflight_lock, never the reverse.
+        #: One lock makes every server-stat snapshot atomic: health/
+        #: metrics taken mid-drain() must never see torn cache state.
+        #: Order: _stats_lock before _response_cache_lock /
+        #: _inflight_lock, never the reverse.
         self._stats_lock = threading.Lock()
         self._registry = global_registry()
         #: Event-loop-confined caches of live metric handles, so the
@@ -282,14 +264,6 @@ class ServiceServer:
         self._executor = ThreadPoolExecutor(
             max_workers=self.max_inflight + 4, thread_name_prefix="repro-serve"
         )
-        self._pool: ProcessPoolExecutor | None = None
-        self._pool_lock = threading.Lock()
-        self._pool_dispatched = 0
-        self._pool_failures = 0
-        #: Per-structure prewarm gate: concurrent same-structure
-        #: requests ride one pool dispatch (mirrors the planner's gate).
-        self._prewarming: dict[str, threading.Event] = {}
-        self._prewarm_lock = threading.Lock()
         self._response_cache_cap = int(response_cache)
         self._response_cache: OrderedDict[tuple, tuple[str, str]] = OrderedDict()
         self._response_cache_lock = threading.Lock()
@@ -394,15 +368,11 @@ class ServiceServer:
         self._done.wait(timeout=30)
 
     def server_close(self) -> None:
-        """Release the socket and the worker pools (idempotent)."""
+        """Release the socket and the handler threads (idempotent)."""
         self._closed = True
         with contextlib.suppress(OSError):
             self._socket.close()
         self._executor.shutdown(wait=False, cancel_futures=True)
-        with self._pool_lock:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
 
     # -- connection handling (event loop) ------------------------------------
 
@@ -667,12 +637,14 @@ class ServiceServer:
                 # including the leader's trace id.
                 with self._stats_lock:
                     self._coalesced += 1
-                try:
-                    status, payload, headers, _ = await asyncio.shield(pending)
-                except asyncio.CancelledError:
-                    raise
-                except Exception:
+                # Unlike awaiting the future itself, asyncio.wait raises
+                # CancelledError only when this task is cancelled.  A
+                # failed leader leaves the future cancelled, and the
+                # follower then runs the request on its own.
+                await asyncio.wait((pending,))
+                if pending.cancelled():
                     return await self._run_guarded(loop, route, body, trace_id)
+                status, payload, headers, _ = pending.result()
                 self._count_served(route, status, time.perf_counter() - started)
                 return status, payload, headers
             fut: asyncio.Future = loop.create_future()
@@ -958,12 +930,6 @@ class ServiceServer:
             {"hits": response_cache["hits"], "misses": response_cache["misses"]},
             "Full-request response-cache events.",
         ))
-        workers = stats["workers"]
-        parts.append(render_counters(
-            "repro_pool_events_total", "event",
-            {"dispatched": workers["dispatched"], "failures": workers["failures"]},
-            "Worker-pool prewarm dispatches and failures.",
-        ))
         parts.append(
             "# TYPE repro_coalesced_total counter\n"
             f"repro_coalesced_total {stats['coalesced']}\n"
@@ -1012,16 +978,13 @@ class ServiceServer:
         return body
 
     def _server_stats(self) -> dict:
-        # The whole snapshot is taken under _stats_lock (satellite fix):
-        # health/metrics scraped mid-drain() see one consistent moment —
-        # never a drained flag next to pre-drain counters, and never a
+        # The whole snapshot is taken under _stats_lock: health/metrics
+        # scraped mid-drain() see one consistent moment — never a
+        # drained flag next to pre-drain counters, and never a
         # route-count dict mutating underfoot.  Lock order is always
-        # _stats_lock -> _pool_lock / _response_cache_lock /
-        # _inflight_lock; no path takes them in reverse.
+        # _stats_lock -> _response_cache_lock / _inflight_lock; no path
+        # takes them in reverse.
         with self._stats_lock:
-            with self._pool_lock:
-                pool = self._pool
-                pool_alive = pool is not None and not getattr(pool, "_broken", False)
             with self._response_cache_lock:
                 response_cache = {
                     "capacity": self._response_cache_cap,
@@ -1033,13 +996,6 @@ class ServiceServer:
                 getattr(self.session, "planner", None), "shared_store", None
             )
             return {
-                "workers": {
-                    "configured": self.workers,
-                    "pool_started": pool is not None,
-                    "pool_alive": pool_alive,
-                    "dispatched": self._pool_dispatched,
-                    "failures": self._pool_failures,
-                },
                 "shared_cache": store.stats_dict() if store is not None else None,
                 "response_cache": response_cache,
                 "coalesced": self._coalesced,
@@ -1049,107 +1005,7 @@ class ServiceServer:
                 "draining": self.draining,
             }
 
-    # -- worker pool (cold structure solves) ----------------------------------
-
-    def _get_pool(self) -> ProcessPoolExecutor | None:
-        failed = False
-        try:
-            with self._pool_lock:
-                if self._pool is None and not self._closed:
-                    try:
-                        self._pool = ProcessPoolExecutor(max_workers=self.workers)
-                    except (OSError, RuntimeError):
-                        # Restricted sandbox (no semaphores, fork
-                        # disabled): the inline solve path is the
-                        # documented fallback.  (The failure is counted
-                        # outside _pool_lock — _stats_lock is always the
-                        # outer lock of the pair.)
-                        failed = True
-                        return None
-                return self._pool
-        finally:
-            if failed:
-                with self._stats_lock:
-                    self._pool_failures += 1
-
-    def _prewarm(self, nest) -> None:
-        """Solve a missing canonical structure in the worker pool.
-
-        Best-effort: any pool problem falls back to the inline solve the
-        session would do anyway.  Skipped while faults are armed —
-        in-process injected faults are invisible to pool workers, and
-        the chaos suite's contracts are about the inline path.
-        """
-        if self.workers <= 0 or faults.any_active():
-            return
-        planner = getattr(self.session, "planner", None)
-        if planner is None or not hasattr(planner, "probe_structure"):
-            return
-        try:
-            key = planner.canonicalization(nest).form.key()
-        except Exception:
-            return  # invalid nests surface properly in the session call
-        if planner.probe_structure(key):
-            return
-        checkpoint("serve-prewarm")
-        while True:
-            with self._prewarm_lock:
-                event = self._prewarming.get(key)
-                if event is None:
-                    event = threading.Event()
-                    self._prewarming[key] = event
-                    break
-            # Another handler is already dispatching this structure:
-            # wait it out, then answer from the (now warm) planner.
-            while not event.wait(0.02):
-                checkpoint("serve-prewarm")
-            if planner.probe_structure(key):
-                return
-            # The leader failed (broken pool, timeout): take over.
-        try:
-            pool = self._get_pool()
-            if pool is None:
-                return
-            timeout = None
-            ambient = current_deadline()
-            if ambient is not None:
-                timeout = max(ambient.remaining_ms, 0.0) / 1000.0
-            try:
-                solved_key, pieces, delta = pool.submit(
-                    _solve_structure, key
-                ).result(timeout)
-            except FuturesTimeoutError:
-                return  # the inline path will raise DeadlineExceeded cleanly
-            except BrokenProcessPool:
-                with self._stats_lock:
-                    self._pool_failures += 1
-                with self._pool_lock:
-                    broken, self._pool = self._pool, None
-                if broken is not None:
-                    broken.shutdown(wait=False, cancel_futures=True)
-                return
-            except (OSError, RuntimeError):
-                with self._stats_lock:
-                    self._pool_failures += 1
-                return
-            with self._stats_lock:
-                self._pool_dispatched += 1
-            planner.install_structure(solved_key, pieces)
-            merge_worker_delta(delta)
-        finally:
-            with self._prewarm_lock:
-                self._prewarming.pop(key, None)
-            event.set()
-        checkpoint("serve-prewarm")
-
     # -- endpoints (thread pool) ----------------------------------------------
-
-    def _batch_workers(self) -> int:
-        # Injected faults must hit the inline path (pool workers cannot
-        # see in-process fault state), mirroring _prewarm's guard.
-        if self.workers > 0 and not faults.any_active():
-            return self.workers
-        return 0
 
     def _answer(self, row: RequestKind, blob: dict) -> tuple[int, dict]:
         """Parse ``blob`` as a ``row`` request and answer it via the Session.
@@ -1162,8 +1018,6 @@ class ServiceServer:
         if not row.single:
             return self._answer_list(row, blob)
         request = row.request.from_json(blob, row.kind)
-        if row.kind == "analyze":
-            self._prewarm(request.nest)
         run = getattr(self.session, row.kind)
         result = run(request, workers=0) if row.serial else run(request)
         return _result_response(result)
@@ -1185,7 +1039,7 @@ class ServiceServer:
                 row.request.from_json(entry, f"requests[{idx}]")
                 for idx, entry in enumerate(entries)
             ]
-        results = self.session.batch(requests, workers=self._batch_workers())
+        results = self.session.batch(requests, workers=0)
         if results and all(not r.ok for r in results):
             # The batch failed as one unit (an expired deadline maps every
             # request to the same envelope): answer with that envelope and
@@ -1201,7 +1055,6 @@ def make_server(
     verbose: bool = False,
     max_inflight: int = DEFAULT_MAX_INFLIGHT,
     default_deadline_ms: float | None = None,
-    workers: int | None = None,
     response_cache: int = 0,
     slow_request_ms: float | None = DEFAULT_SLOW_REQUEST_MS,
 ) -> ServiceServer:
@@ -1209,9 +1062,7 @@ def make_server(
 
     ``max_inflight`` bounds concurrently-processed POSTs (excess load is
     shed with 429); ``default_deadline_ms`` deadline-bounds requests
-    that do not set their own ``deadline_ms``; ``workers`` sizes the
-    process pool for cold structure solves (``None`` reads
-    ``REPRO_SERVE_WORKERS``, default 0 = no pool); ``response_cache``
+    that do not set their own ``deadline_ms``; ``response_cache``
     turns on the full-request response cache (entries; 0 = off);
     ``slow_request_ms`` sets the slow-request span-tree log threshold
     (``None`` disables it).
@@ -1222,14 +1073,6 @@ def make_server(
         raise ValueError("default_deadline_ms must be positive")
     if slow_request_ms is not None and slow_request_ms <= 0:
         raise ValueError("slow_request_ms must be positive (or None to disable)")
-    if workers is None:
-        raw = os.environ.get(WORKERS_ENV_VAR, "").strip()
-        try:
-            workers = int(raw) if raw else 0
-        except ValueError as exc:
-            raise ValueError(f"bad {WORKERS_ENV_VAR} value {raw!r}") from exc
-    if workers < 0:
-        raise ValueError("workers must be >= 0")
     if response_cache < 0:
         raise ValueError("response_cache must be >= 0")
     return ServiceServer(
@@ -1238,7 +1081,6 @@ def make_server(
         verbose=verbose,
         max_inflight=int(max_inflight),
         default_deadline_ms=default_deadline_ms,
-        workers=int(workers),
         response_cache=int(response_cache),
         slow_request_ms=slow_request_ms,
     )
@@ -1251,7 +1093,6 @@ def serve(
     verbose: bool = True,
     max_inflight: int = DEFAULT_MAX_INFLIGHT,
     default_deadline_ms: float | None = None,
-    workers: int | None = None,
     response_cache: int = DEFAULT_RESPONSE_CACHE,
     slow_request_ms: float | None = DEFAULT_SLOW_REQUEST_MS,
 ) -> int:
@@ -1259,19 +1100,18 @@ def serve(
     server = make_server(
         host, port, session=session, verbose=verbose,
         max_inflight=max_inflight, default_deadline_ms=default_deadline_ms,
-        workers=workers, response_cache=response_cache,
+        response_cache=response_cache,
         slow_request_ms=slow_request_ms,
     )
     bound_host, bound_port = server.server_address[:2]
     print(f"repro-tile serve: listening on http://{bound_host}:{bound_port}/v1/ "
-          f"(schema v{SCHEMA_VERSION}; workers={server.workers}; Ctrl-C to stop)",
+          f"(schema v{SCHEMA_VERSION}; Ctrl-C to stop)",
           flush=True)
 
     # SIGTERM (what `kill`, systemd, and containers send) must take the
-    # same graceful path as Ctrl-C: the default handler would kill only
-    # this process, orphaning fork-started pool workers that inherited
-    # the listening socket — the port would stay busy and a restarted
-    # server could never bind it.
+    # same graceful path as Ctrl-C: drain, then close the listening
+    # socket and the handler threads, and let the caller's cleanup run.
+    # The default disposition would end the process on the spot.
     def _graceful_term(signum, frame):
         raise KeyboardInterrupt
 

@@ -209,3 +209,11 @@ class TestBatchCLI:
         assert (args.host, args.port, args.quiet) == ("127.0.0.1", 8787, False)
         args = build_serve_parser().parse_args(["--port", "0", "--quiet"])
         assert args.port == 0 and args.quiet
+
+    def test_serve_workers_flag_is_a_usage_error(self, capsys):
+        # The server solves cold structures on its handler threads; it
+        # has no process pool to size.
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--workers", "2"])
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err

@@ -1,15 +1,16 @@
-"""Multi-worker serving: coalescing, shared plan cache, golden parity.
+"""Concurrent serving: coalescing, shared plan cache, golden parity.
 
-End-to-end tests for the PR's fleet features, over real HTTP:
+End-to-end tests over real HTTP:
 
 * N concurrent structurally-identical requests cost exactly one
   structure solve (request coalescing + the planner's per-key gate);
+* followers of a coalesced request whose leader failed still get an
+  answer of their own;
 * a shared plan cache directory survives a full server restart — the
   second server answers warm with zero solves;
-* the worker pool, shared cache, and response cache all report through
-  ``/v1/health``;
-* golden payloads are byte-identical whether the server runs inline,
-  with a process pool, or off the response cache.
+* SIGTERM drains the CLI server and frees its port;
+* golden payloads are byte-identical whether a request is solved fresh
+  or answered off the response cache.
 """
 
 import json
@@ -25,10 +26,8 @@ import urllib.error
 import urllib.request
 from pathlib import Path
 
-import pytest
-
 from repro.api import Session
-from repro.serve import WORKERS_ENV_VAR, make_server
+from repro.serve import make_server
 
 GOLDEN = json.loads(
     (Path(__file__).parent / "golden" / "analyze_payloads.json").read_text()
@@ -76,17 +75,6 @@ def _payload_bytes(raw: bytes) -> bytes:
     return raw.split(b'"payload": ', 1)[1].rsplit(b', "meta": ', 1)[0]
 
 
-def _total_solves(health_payload: dict) -> int:
-    """Structure solves paid anywhere: inline or dispatched to the pool.
-
-    Under ``REPRO_SERVE_WORKERS`` (CI's chaos leg) cold solves run in
-    pool workers, so the in-process ``structure_solves`` counter stays
-    0 and the work shows up as a pool dispatch instead.
-    """
-    return (health_payload["planner_stats"]["structure_solves"]
-            + health_payload["server"]["workers"]["dispatched"])
-
-
 class TestCoalescing:
     def test_concurrent_same_structure_costs_one_solve(self):
         # 4 identical bodies + 4 same-structure different-bound bodies,
@@ -122,7 +110,49 @@ class TestCoalescing:
             first = _payload_bytes(results[0][1])
             assert all(_payload_bytes(raw) == first for _, raw in results[:4])
             health = _health(base)["payload"]
-            assert _total_solves(health) == 1, health
+            assert health["planner_stats"]["structure_solves"] == 1, health
+        finally:
+            _stop(server, thread)
+
+    def test_followers_of_a_failed_leader_get_their_own_answer(self):
+        # The first execution sleeps (so the other two coalesce onto it)
+        # and then raises: the leader answers with a structured 500, and
+        # each follower runs the request itself instead of losing its
+        # connection.
+        server, thread, base = _serve(response_cache=0)
+        handle = server._handle_request
+        calls = []
+
+        def fail_first(*args):
+            calls.append(args)
+            if len(calls) == 1:
+                time.sleep(0.5)
+                raise RuntimeError("leader failed")
+            return handle(*args)
+
+        server._handle_request = fail_first
+        body = {"problem": "matmul", "sizes": [40, 40, 40], "cache_words": 512}
+        results: list = [None] * 3
+        barrier = threading.Barrier(len(results))
+
+        def fire(index: int) -> None:
+            barrier.wait()
+            try:
+                results[index] = _post_raw(base, "/v1/analyze", body)[0]
+            except Exception as exc:  # a dropped connection
+                results[index] = repr(exc)
+
+        threads = [
+            threading.Thread(target=fire, args=(i,), daemon=True)
+            for i in range(len(results))
+        ]
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+            assert sorted(results, key=str) == [200, 200, 500], results
+            assert _health(base)["payload"]["server"]["coalesced"] == 2
         finally:
             _stop(server, thread)
 
@@ -137,7 +167,7 @@ class TestSharedCacheAcrossRestarts:
             status, first_raw = _post_raw(base, "/v1/analyze", body)
             assert status == 200
             health = _health(base)["payload"]
-            assert _total_solves(health) == 1, health
+            assert health["planner_stats"]["structure_solves"] == 1, health
             assert health["shared_cache"]["puts"] >= 1
         finally:
             _stop(server, thread)
@@ -150,7 +180,7 @@ class TestSharedCacheAcrossRestarts:
             assert status == 200
             assert _payload_bytes(second_raw) == _payload_bytes(first_raw)
             health = _health(base)["payload"]
-            assert _total_solves(health) == 0, health
+            assert health["planner_stats"]["structure_solves"] == 0, health
             assert health["planner_stats"]["shared_hits"] >= 1, health
             assert health["shared_cache"]["hits"] >= 1, health
         finally:
@@ -175,56 +205,22 @@ class TestSharedCacheAcrossRestarts:
         try:
             assert _post_raw(base, "/v1/analyze", body)[0] == 200
             health = _health(base)["payload"]
-            assert _total_solves(health) == 1, health
+            assert health["planner_stats"]["structure_solves"] == 1, health
             assert health["planner_stats"]["shared_hits"] == 0, health
             assert health["shared_cache"]["invalidated"] >= 1, health
         finally:
             _stop(server, thread)
 
 
-class TestWorkerPool:
-    def test_pool_solves_and_reports_liveness(self):
-        server, thread, base = _serve(workers=2)
-        try:
-            body = {"problem": "matmul", "sizes": [32, 32, 32], "cache_words": 1024}
-            status, raw = _post_raw(base, "/v1/analyze", body)
-            assert status == 200
-            stats = _health(base)["payload"]["server"]
-            assert stats["workers"]["configured"] == 2
-            assert stats["workers"]["pool_started"] is True
-            assert stats["workers"]["pool_alive"] is True
-            assert stats["workers"]["dispatched"] >= 1
-            # The solve ran in a pool worker, never in this process.
-            planner = _health(base)["payload"]["planner_stats"]
-            assert planner["structure_solves"] == 0, planner
-        finally:
-            _stop(server, thread)
-
-    def test_env_var_configures_workers(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV_VAR, "3")
-        server = make_server(port=0)
-        try:
-            assert server.workers == 3
-        finally:
-            server.server_close()
-        monkeypatch.setenv(WORKERS_ENV_VAR, "not-a-number")
-        with pytest.raises(ValueError, match=WORKERS_ENV_VAR):
-            make_server(port=0)
-
-
 class TestSignalShutdown:
-    def test_sigterm_shuts_down_pool_and_releases_port(self):
-        # `kill` must take the graceful path: with fork-started pool
-        # workers, the default SIGTERM disposition would kill only the
-        # parent and orphan the workers — which inherited the listening
-        # socket, so the port would stay busy and a restarted server
-        # could never bind it.
+    def test_sigterm_drains_and_releases_port(self):
+        # `kill` must take the graceful path: drain, close the listening
+        # socket and exit 0, so a restarted server can bind the port.
         env = dict(os.environ)
         src = str(Path(__file__).resolve().parents[1] / "src")
         env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
         proc = subprocess.Popen(
-            [sys.executable, "-m", "repro.cli", "serve", "--port", "0",
-             "--workers", "2", "--quiet"],
+            [sys.executable, "-m", "repro.cli", "serve", "--port", "0", "--quiet"],
             stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, env=env,
         )
         try:
@@ -234,14 +230,13 @@ class TestSignalShutdown:
             port = int(match.group(1))
             body = {"problem": "matmul", "sizes": [32, 32, 32], "cache_words": 1024}
             status, _ = _post_raw(f"http://127.0.0.1:{port}", "/v1/analyze", body)
-            assert status == 200  # pool is live: workers exist to orphan
+            assert status == 200
             proc.send_signal(signal.SIGTERM)
             assert proc.wait(timeout=30) == 0
             assert "shutting down" in proc.stdout.read()
-            # The workers died with the parent, so the port frees up.
             # SO_REUSEADDR matches what a restarted server would use: it
             # ignores TIME_WAIT remnants but still fails EADDRINUSE if
-            # an orphaned worker is holding the listening socket.
+            # anything is holding the listening socket.
             deadline = time.monotonic() + 10
             while True:
                 probe = socket.socket()
@@ -264,31 +259,25 @@ class TestSignalShutdown:
 
 class TestGoldenParityAcrossModes:
     def test_golden_payloads_byte_identical_in_every_mode(self):
-        # Inline server (reference), pooled server (fresh solve path),
-        # pooled server again (response-cache splice path): all three
-        # must produce the same payload bytes, equal to the golden file.
-        inline_server, inline_thread, inline_base = _serve(response_cache=0)
-        pooled_server, pooled_thread, pooled_base = _serve(
-            workers=2, response_cache=64
-        )
+        # A fresh solve (reference) and a repeat off the response-cache
+        # splice path must produce the same payload bytes, equal to the
+        # golden file.
+        server, thread, base = _serve(response_cache=64)
         try:
             for name, request in GOLDEN_REQUESTS.items():
-                _, inline_raw = _post_raw(inline_base, "/v1/analyze", request)
-                _, fresh_raw = _post_raw(pooled_base, "/v1/analyze", request)
-                _, cached_raw = _post_raw(pooled_base, "/v1/analyze", request)
-                expected = _payload_bytes(inline_raw)
-                assert _payload_bytes(fresh_raw) == expected, name
+                _, fresh_raw = _post_raw(base, "/v1/analyze", request)
+                _, cached_raw = _post_raw(base, "/v1/analyze", request)
+                expected = _payload_bytes(fresh_raw)
                 assert _payload_bytes(cached_raw) == expected, name
                 assert json.loads(expected) == GOLDEN[name], name
                 meta = json.loads(cached_raw)["meta"]
                 assert meta["cache_hit"] is True
                 assert meta.get("response_cache") is True, meta
         finally:
-            _stop(inline_server, inline_thread)
-            _stop(pooled_server, pooled_thread)
+            _stop(server, thread)
 
     def test_batch_golden_parity_under_workers(self):
-        server, thread, base = _serve(workers=2)
+        server, thread, base = _serve()
         try:
             batch = {"requests": list(GOLDEN_REQUESTS.values())}
             status, raw = _post_raw(base, "/v1/batch", batch)

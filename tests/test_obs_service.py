@@ -2,7 +2,7 @@
 
 Complements the unit suite in ``test_obs.py`` and the soak's scrape
 contract: here every count is pinned *exactly* against a live
-multi-worker server under parallel mixed traffic, golden payloads are
+server under parallel mixed traffic, golden payloads are
 checked byte-for-byte with tracing on (meta-only by construction), and
 trace ids are followed through headers, bodies, the response-cache
 splice, deadline 504s, and internal 500s.
@@ -33,11 +33,10 @@ ANALYZE = {"problem": "matmul", "sizes": [64, 64, 64], "cache_words": 1024}
 
 @pytest.fixture(scope="module")
 def service():
-    """One shared server for the module: pool-sized, response cache on."""
+    """One shared server for the module, response cache on."""
     server = make_server(
         port=0,
         session=Session(workers=0),
-        workers=2,
         max_inflight=32,
         response_cache=64,
     )
