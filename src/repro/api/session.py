@@ -592,10 +592,10 @@ class Session:
     def metrics(self) -> dict:
         """The library-surface view of the observability registry.
 
-        The same data ``GET /v1/metrics`` exposes (and ``repro-tile
-        stats`` prints), shaped for programs: the global registry's
-        summary (histograms with p50/p95/p99 already derived) plus this
-        session's planner and shared-cache counters.
+        The process-global registry's summary (trace stages and merged
+        worker deltas, p50/p95/p99 derived) plus this session's planner
+        and shared-cache counters.  A server's request families live in
+        its own registry (``ServiceServer.metrics``), not here.
         """
         store = getattr(self.planner, "shared_store", None)
         return {

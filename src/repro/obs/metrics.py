@@ -290,7 +290,7 @@ _GLOBAL = MetricsRegistry()
 
 
 def global_registry() -> MetricsRegistry:
-    """The process-wide registry the server scrapes and workers merge into."""
+    """The process-wide registry: trace stages and merged worker deltas."""
     return _GLOBAL
 
 

@@ -85,6 +85,7 @@ from .core.loopnest import LoopNestError
 from .core.parser import ParseError
 from .obs import (
     PROMETHEUS_CONTENT_TYPE,
+    MetricsRegistry,
     RequestTrace,
     coerce_trace_id,
     global_registry,
@@ -225,6 +226,11 @@ class ServiceServer:
     Cold structures are solved by the session's planner on the handler
     thread; its per-structure gate makes concurrent requests for one
     new structure share a single solve.
+
+    :attr:`metrics` is this server's own :class:`MetricsRegistry` and
+    the only store of its counts (requests, rejections, response-cache
+    events and entries, coalesced followers, in-flight, draining): the
+    health ``server`` block and ``/v1/metrics`` are two renderings of it.
     """
 
     def __init__(
@@ -243,15 +249,20 @@ class ServiceServer:
         self.max_inflight = int(max_inflight)
         self.default_deadline_ms = default_deadline_ms
         self.slow_request_ms = slow_request_ms
-        self.draining = False
-        self._inflight = 0
+        #: Per server, not process-global: one process may run many
+        #: servers, and each one's health must count only its own.
+        self.metrics = MetricsRegistry()
+        #: The admission count is the gauge itself; _inflight_lock makes
+        #: try_acquire's check-and-increment atomic.
+        self._inflight = self.metrics.gauge("repro_inflight")
         self._inflight_lock = threading.Lock()
-        #: One lock makes every server-stat snapshot atomic: health/
-        #: metrics taken mid-drain() must never see torn cache state.
-        #: Order: _stats_lock before _response_cache_lock /
-        #: _inflight_lock, never the reverse.
-        self._stats_lock = threading.Lock()
-        self._registry = global_registry()
+        self._draining = self.metrics.gauge("repro_draining")
+        self._followers = self.metrics.counter("repro_coalesced_total")
+        self._cache_hits = self.metrics.counter(
+            "repro_response_cache_events_total", event="hits")
+        self._cache_misses = self.metrics.counter(
+            "repro_response_cache_events_total", event="misses")
+        self._cache_entries = self.metrics.gauge("repro_response_cache_entries")
         #: Event-loop-confined caches of live metric handles, so the
         #: per-request cost is a dict lookup, not label-key building.
         self._request_counters: dict[tuple[str, int], object] = {}
@@ -265,16 +276,8 @@ class ServiceServer:
             max_workers=self.max_inflight + 4, thread_name_prefix="repro-serve"
         )
         self._response_cache_cap = int(response_cache)
+        #: Event-loop confined, like the coalescing map below.
         self._response_cache: OrderedDict[tuple, tuple[str, str]] = OrderedDict()
-        self._response_cache_lock = threading.Lock()
-        self._response_hits = 0
-        self._response_misses = 0
-        self._coalesced = 0
-        self._requests_served = 0
-        #: Per-route served-request counts (event-loop confined), so
-        #: health shows every kind — frontend programs included —
-        #: counted exactly like the rest.
-        self._route_counts: dict[str, int] = {}
         #: In-flight coalescing map (event-loop confined): key -> Future.
         self._pending: dict[tuple, asyncio.Future] = {}
         self._client_tasks: set[asyncio.Task] = set()
@@ -289,24 +292,26 @@ class ServiceServer:
 
     def try_acquire(self) -> bool:
         with self._inflight_lock:
-            if self._inflight >= self.max_inflight:
+            if self._inflight.value >= self.max_inflight:
                 return False
-            self._inflight += 1
+            self._inflight.inc()
             return True
 
     def release(self) -> None:
         with self._inflight_lock:
-            self._inflight -= 1
+            self._inflight.inc(-1)
 
     @property
     def inflight(self) -> int:
-        with self._inflight_lock:
-            return self._inflight
+        return int(self._inflight.value)
+
+    @property
+    def draining(self) -> bool:
+        return bool(self._draining.value)
 
     def drain(self) -> None:
         """Start refusing new work (503) while in-flight requests finish."""
-        with self._stats_lock:
-            self.draining = True
+        self._draining.set(1)
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -531,6 +536,7 @@ class ServiceServer:
                 # scrapers must see an overloaded or draining server.
                 return await self._run_guarded(loop, "/v1/metrics", b"", trace_id)
             if route in _KIND_BY_ROUTE:
+                self._count_rejected("bad-method")
                 return 405, _dump(_error_body("use POST with a JSON body", 405)), None
             self._count_rejected("not-found")
             return 404, _dump(_error_body(f"unknown path {target!r}", 404)), None
@@ -541,6 +547,7 @@ class ServiceServer:
             # Health bypasses admission control: probes must always land.
             return await self._run_guarded(loop, "/v1/health", b"", trace_id)
         if route == "/v1/metrics":
+            self._count_rejected("bad-method")
             return 405, _dump(_error_body("use GET to scrape /v1/metrics", 405)), None
         if route not in _KIND_BY_ROUTE:
             self._count_rejected("not-found")
@@ -635,8 +642,7 @@ class ServiceServer:
                 # outcome instead of burning a second handler thread.
                 # Followers share the leader's envelope verbatim —
                 # including the leader's trace id.
-                with self._stats_lock:
-                    self._coalesced += 1
+                self._followers.inc()
                 # Unlike awaiting the future itself, asyncio.wait raises
                 # CancelledError only when this task is cancelled.  A
                 # failed leader leaves the future cancelled, and the
@@ -688,55 +694,47 @@ class ServiceServer:
         self._count_served(route, status, time.perf_counter() - started)
         return status, payload, headers
 
-    def _count_served(self, route: str, status: int = 200,
-                      elapsed_s: float | None = None) -> None:
-        """Tally one served request, total and per route (event loop only).
-
-        Updates both the legacy health counters and the registry
-        (``repro_requests_total{route,status}`` +
-        ``repro_request_seconds{route}``); metric handles are cached per
+    def _count_served(self, route: str, status: int, elapsed_s: float) -> None:
+        """Tally one served request (event loop only):
+        ``repro_requests_total{route,status}`` and
+        ``repro_request_seconds{route}``.  Metric handles are cached per
         route so the hot path is two dict lookups.
         """
-        with self._stats_lock:
-            self._requests_served += 1
-            self._route_counts[route] = self._route_counts.get(route, 0) + 1
         counter_key = (route, status)
         counter = self._request_counters.get(counter_key)
         if counter is None:
-            counter = self._registry.counter(
+            counter = self.metrics.counter(
                 "repro_requests_total", route=route, status=str(status)
             )
             self._request_counters[counter_key] = counter
         counter.inc()
-        if elapsed_s is not None:
-            hist = self._request_hists.get(route)
-            if hist is None:
-                hist = self._registry.histogram("repro_request_seconds", route=route)
-                self._request_hists[route] = hist
-            hist.observe(elapsed_s)
+        hist = self._request_hists.get(route)
+        if hist is None:
+            hist = self.metrics.histogram("repro_request_seconds", route=route)
+            self._request_hists[route] = hist
+        hist.observe(elapsed_s)
 
     def _count_rejected(self, reason: str) -> None:
         """One shed/refused request (404/405/429/503) by reason."""
-        self._registry.counter("repro_rejected_total", reason=reason).inc()
+        self.metrics.counter("repro_rejected_total", reason=reason).inc()
 
     # -- response cache -------------------------------------------------------
 
     def _response_cache_get(self, key: tuple) -> tuple[str, str] | None:
-        with self._response_cache_lock:
-            entry = self._response_cache.get(key)
-            if entry is None:
-                self._response_misses += 1
-                return None
-            self._response_cache.move_to_end(key)
-            self._response_hits += 1
-            return entry
+        entry = self._response_cache.get(key)
+        if entry is None:
+            self._cache_misses.inc()
+            return None
+        self._response_cache.move_to_end(key)
+        self._cache_hits.inc()
+        return entry
 
     def _response_cache_put(self, key: tuple, entry: tuple[str, str]) -> None:
-        with self._response_cache_lock:
-            self._response_cache[key] = entry
-            self._response_cache.move_to_end(key)
-            while len(self._response_cache) > self._response_cache_cap:
-                self._response_cache.popitem(last=False)
+        self._response_cache[key] = entry
+        self._response_cache.move_to_end(key)
+        while len(self._response_cache) > self._response_cache_cap:
+            self._response_cache.popitem(last=False)
+        self._cache_entries.set(len(self._response_cache))
 
     # -- request handling (thread pool) ---------------------------------------
 
@@ -907,37 +905,23 @@ class ServiceServer:
         )
 
     def _metrics_text(self) -> str:
-        """Registry metrics + live planner/shared-store/server counters."""
-        parts = [render_registry(self._registry)]
-        stats = self._server_stats()
-        planner_stats = getattr(getattr(self.session, "planner", None), "stats", None)
-        if planner_stats is not None:
+        """This server's registry, the process-global one (trace stages,
+        merged worker deltas), then the planner and plan-store counters."""
+        parts = [render_registry(self.metrics), render_registry(global_registry())]
+        planner = getattr(self.session, "planner", None)
+        if planner is not None:
             parts.append(render_counters(
-                "repro_plan_cache_events_total", "event", planner_stats.as_dict(),
+                "repro_plan_cache_events_total", "event", planner.stats.as_dict(),
                 "Planner structure-cache events (hits, solves, coalesced, ...).",
             ))
-        shared = stats.get("shared_cache")
-        if shared:
-            parts.append(render_counters(
-                "repro_shared_store_events_total", "event",
-                {k: v for k, v in shared.items()
-                 if k not in ("version", "shards")},
-                "Cross-process shared plan-store events.",
-            ))
-        response_cache = stats["response_cache"]
-        parts.append(render_counters(
-            "repro_response_cache_events_total", "event",
-            {"hits": response_cache["hits"], "misses": response_cache["misses"]},
-            "Full-request response-cache events.",
-        ))
-        parts.append(
-            "# TYPE repro_coalesced_total counter\n"
-            f"repro_coalesced_total {stats['coalesced']}\n"
-            "# TYPE repro_inflight gauge\n"
-            f"repro_inflight {stats['inflight']}\n"
-            "# TYPE repro_draining gauge\n"
-            f"repro_draining {int(stats['draining'])}\n"
-        )
+            store = getattr(planner, "shared_store", None)
+            if store is not None:
+                parts.append(render_counters(
+                    "repro_shared_store_events_total", "event",
+                    {k: v for k, v in store.stats_dict().items()
+                     if k not in ("version", "shards")},
+                    "Cross-process shared plan-store events.",
+                ))
         return "".join(parts)
 
     def _parse_body(self, raw: bytes) -> dict:
@@ -978,32 +962,37 @@ class ServiceServer:
         return body
 
     def _server_stats(self) -> dict:
-        # The whole snapshot is taken under _stats_lock: health/metrics
-        # scraped mid-drain() see one consistent moment — never a
-        # drained flag next to pre-drain counters, and never a
-        # route-count dict mutating underfoot.  Lock order is always
-        # _stats_lock -> _response_cache_lock / _inflight_lock; no path
-        # takes them in reverse.
-        with self._stats_lock:
-            with self._response_cache_lock:
-                response_cache = {
-                    "capacity": self._response_cache_cap,
-                    "entries": len(self._response_cache),
-                    "hits": self._response_hits,
-                    "misses": self._response_misses,
-                }
-            store = getattr(
-                getattr(self.session, "planner", None), "shared_store", None
-            )
-            return {
-                "shared_cache": store.stats_dict() if store is not None else None,
-                "response_cache": response_cache,
-                "coalesced": self._coalesced,
-                "requests_served": self._requests_served,
-                "requests_by_route": dict(sorted(self._route_counts.items())),
-                "inflight": self.inflight,
-                "draining": self.draining,
-            }
+        """Health's ``server`` block, read from one registry snapshot.
+
+        Every metric update takes the registry lock the snapshot holds,
+        so the block is one consistent moment: ``requests_served`` always
+        equals the sum of ``requests_by_route``, and the draining flag
+        never sits next to counts from another instant.
+        """
+        snap = self.metrics.snapshot()
+        counts = {
+            (entry["name"], *(value for _, value in entry["labels"])): int(entry["value"])
+            for entry in snap["counters"] + snap["gauges"]
+        }
+        by_route: dict[str, int] = {}
+        for (name, *labels), count in counts.items():
+            if name == "repro_requests_total":
+                route = labels[0]  # labels sort as (route, status)
+                by_route[route] = by_route.get(route, 0) + count
+        events = "repro_response_cache_events_total"
+        return {
+            "response_cache": {
+                "capacity": self._response_cache_cap,
+                "entries": counts[("repro_response_cache_entries",)],
+                "hits": counts[(events, "hits")],
+                "misses": counts[(events, "misses")],
+            },
+            "coalesced": counts[("repro_coalesced_total",)],
+            "requests_served": sum(by_route.values()),
+            "requests_by_route": dict(sorted(by_route.items())),
+            "inflight": counts[("repro_inflight",)],
+            "draining": bool(counts[("repro_draining",)]),
+        }
 
     # -- endpoints (thread pool) ----------------------------------------------
 

@@ -9,7 +9,9 @@ splice, deadline 504s, and internal 500s.
 """
 
 import json
+import sys
 import threading
+import time
 import urllib.error
 import urllib.request
 from concurrent.futures import ProcessPoolExecutor
@@ -129,6 +131,15 @@ class TestMetricsEndpoint:
         status, body, _ = _post(base, "/v1/metrics", {})
         assert status == 405
         assert body["payload"]["status"] == 405
+
+    def test_both_405s_count_as_bad_method(self, service):
+        _, base = service
+        key = 'repro_rejected_total{reason="bad-method"}'
+        before = _samples(_scrape(base)[1]).get(key, 0.0)
+        assert _request(base, "/v1/analyze")[0] == 405  # GET on a POST route
+        assert _request(base, "/v1/metrics", {})[0] == 405  # POST on a GET route
+        after = _samples(_scrape(base)[1]).get(key, 0.0)
+        assert after - before == 2
 
     def test_exact_counts_under_parallel_mixed_traffic(self, service):
         """Scrape deltas match the traffic exactly — nothing lost, nothing
@@ -394,43 +405,154 @@ class TestDrainVisibility:
             thread.join(timeout=10)
 
     def test_server_stats_snapshot_is_atomic(self):
-        """The health/metrics snapshot never shows torn state mid-drain:
-        fields mutated together under ``_stats_lock`` are always seen
-        together."""
-        server = make_server(port=0, session=Session(workers=0))
+        """Health read under live mixed traffic and a mid-run ``drain()``
+        is always one consistent moment: ``requests_served`` is the sum of
+        ``requests_by_route``, every count an ``int``, and a reader that
+        has seen the server draining never sees it undrained again.  No
+        update is lost: the final counts match what the clients saw."""
+        server = make_server(port=0, session=Session(workers=0), max_inflight=32)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        base = f"http://127.0.0.1:{server.server_address[1]}"
+        stop = threading.Event()
+        reads: list[list[dict]] = [[], []]
+        statuses: list[list[int]] = [[], [], []]
+
+        def poster(idx: int) -> None:
+            bodies = [ANALYZE, {"problem": "matmul"}]  # a 200 and a 400
+            while not stop.is_set():
+                body = bodies[len(statuses[idx]) % 2]
+                statuses[idx].append(_request(base, "/v1/analyze", body)[0])
+
+        def reader(idx: int) -> None:
+            while not stop.is_set():
+                status, body, _ = _get(base, "/v1/health")
+                assert status == 200
+                reads[idx].append(body["payload"]["server"])
+
+        def wait_for(total: int) -> None:
+            for _ in range(3000):
+                if sum(map(len, reads)) >= total:
+                    return
+                stop.wait(0.01)
+
+        threads = [threading.Thread(target=poster, args=(i,)) for i in range(3)]
+        threads += [threading.Thread(target=reader, args=(i,)) for i in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
         try:
-            stop = threading.Event()
-
-            def writer():
-                while not stop.is_set():
-                    with server._stats_lock:
-                        server._requests_served += 1
-                        server._route_counts["/hammer"] = server._requests_served
-                        server.draining = server._requests_served % 2 == 1
-
-            torn = []
-
-            def reader():
-                for _ in range(2000):
-                    snap = server._server_stats()
-                    served = snap["requests_served"]
-                    if snap["requests_by_route"].get("/hammer", 0) != served:
-                        torn.append(snap)
-                    if served and snap["draining"] != (served % 2 == 1):
-                        torn.append(snap)
-
-            w = threading.Thread(target=writer)
-            readers = [threading.Thread(target=reader) for _ in range(3)]
-            w.start()
-            for r in readers:
-                r.start()
-            for r in readers:
-                r.join()
+            for t in threads:
+                t.start()
+            wait_for(40)
+            server.drain()
+            wait_for(80)
             stop.set()
-            w.join()
-            assert torn == []
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+            _, final, _ = _get(base, "/v1/health")
+            samples = _samples(_scrape(base)[1])
         finally:
+            sys.setswitchinterval(interval)
+            stop.set()
+            server.shutdown()
             server.server_close()
+            thread.join(timeout=10)
+
+        seen = [snap for per in reads for snap in per]
+        assert len(seen) >= 80
+        for snap in seen:
+            routes = snap["requests_by_route"]
+            assert type(snap["requests_served"]) is int, snap
+            assert all(type(count) is int for count in routes.values()), snap
+            assert snap["requests_served"] == sum(routes.values()), snap
+        for per in reads:
+            flags = [snap["draining"] for snap in per]
+            assert flags == sorted(flags), flags  # False ... then True
+        assert any(snap["draining"] for snap in seen)
+        assert any(not snap["draining"] for snap in seen)
+        sent = [status for per in statuses for status in per]
+        assert set(sent) <= {200, 400, 503} and 503 in sent
+        routes = final["payload"]["server"]["requests_by_route"]
+        assert routes["/v1/analyze"] == sum(s != 503 for s in sent)
+        assert routes["/v1/health"] == len(seen)
+        assert samples['repro_rejected_total{reason="draining"}'] == sent.count(503)
+
+
+class TestOneRegistry:
+    """Health's ``server`` block and ``/v1/metrics`` render the same
+    per-server registry, so they agree on every count they share."""
+
+    def test_health_and_metrics_agree_after_mixed_traffic(self):
+        server = make_server(port=0, session=Session(workers=0), response_cache=16)
+        twin = {"problem": "matmul", "sizes": [40, 40, 40], "cache_words": 512}
+        twin_bytes = json.dumps(twin).encode()
+        handle = server._handle_request
+        slept = []
+
+        def slow_first_twin(route, raw, trace_id=None):
+            # The first twin sleeps so the second coalesces onto it.
+            if raw == twin_bytes and not slept:
+                slept.append(True)
+                time.sleep(0.5)
+            return handle(route, raw, trace_id)
+
+        server._handle_request = slow_first_twin
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        base = f"http://127.0.0.1:{server.server_address[1]}"
+        try:
+            assert _request(base, "/v1/analyze", ANALYZE)[0] == 200  # miss
+            assert _request(base, "/v1/analyze", ANALYZE)[0] == 200  # hit
+            barrier = threading.Barrier(2)
+            twins: list = []
+
+            def fire() -> None:
+                barrier.wait()
+                twins.append(_request(base, "/v1/analyze", twin_bytes)[0])
+
+            pair = [threading.Thread(target=fire) for _ in range(2)]
+            for t in pair:
+                t.start()
+            for t in pair:
+                t.join(timeout=60)
+            assert twins == [200, 200]
+            assert _request(base, "/v1/nowhere")[0] == 404
+            assert _request(base, "/v1/analyze")[0] == 405  # GET, POST route
+            assert _request(base, "/v1/metrics", {})[0] == 405  # POST, GET route
+            assert _request(base, "/v1/analyze", {"problem": "matmul"})[0] == 400
+            status, body, _ = _get(base, "/v1/health")
+            assert status == 200
+            _, text = _scrape(base)
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=10)
+
+        health = body["payload"]["server"]
+        assert "shared_cache" not in health
+        assert body["payload"]["shared_cache"] is None
+        samples = _samples(text)
+        metric_routes: dict[str, float] = {}
+        for key, value in samples.items():
+            if key.startswith("repro_requests_total{"):
+                route = key.split('route="', 1)[1].split('"', 1)[0]
+                metric_routes[route] = metric_routes.get(route, 0.0) + value
+        # The scrape also counts the health request that preceded it.
+        assert health["requests_by_route"] == {"/v1/analyze": 5}
+        assert metric_routes == {"/v1/analyze": 5.0, "/v1/health": 1.0}
+        assert health["requests_served"] == 5
+        cache = health["response_cache"]
+        assert (cache["hits"], cache["misses"], cache["entries"]) == (1, 4, 2)
+        assert samples['repro_response_cache_events_total{event="hits"}'] == 1.0
+        assert samples['repro_response_cache_events_total{event="misses"}'] == 4.0
+        assert samples["repro_response_cache_entries"] == 2.0
+        assert health["coalesced"] == 1
+        assert samples["repro_coalesced_total"] == 1.0
+        assert samples['repro_rejected_total{reason="bad-method"}'] == 2.0
+        assert samples['repro_rejected_total{reason="not-found"}'] == 1.0
+        assert (health["inflight"], health["draining"]) == (0, False)
+        assert (samples["repro_inflight"], samples["repro_draining"]) == (0.0, 0.0)
 
 
 class TestSessionAndCliSurface:
