@@ -105,7 +105,7 @@ def test_e17_warm_cache_speedup_json(table, smoke):
     n_queries = 12 if smoke else 120
     requests = _workload(rng, n_queries)
 
-    session = Session(workers=0)
+    session = Session()
     session.batch(requests)  # warm the cache
     warm_stats_before = dict(session.stats.as_dict())
 
@@ -120,7 +120,7 @@ def test_e17_warm_cache_speedup_json(table, smoke):
 
     t0 = time.perf_counter()
     for _ in range(passes):
-        plan_batch(requests, planner=session.planner, max_workers=0)
+        plan_batch(requests, planner=session.planner)
     t_warm_engine = (time.perf_counter() - t0) / passes
 
     t0 = time.perf_counter()
@@ -236,7 +236,7 @@ def test_e17_warm_novel_queries_per_second(table, smoke):
     rng = random.Random("bench-planner-novel")
     used: set[int] = set(_POW2 + _ODD)
     n_queries = 60 if smoke else 240
-    session = Session(workers=0)
+    session = Session()
     # Warm structures and primal maps on a separate novel sample.
     session.batch(_novel_workload(rng, n_queries, used))
     before = session.stats.as_dict()

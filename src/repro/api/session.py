@@ -3,9 +3,9 @@
 A :class:`Session` owns the machinery a stream of queries shares —
 
 * a :class:`~repro.plan.Planner` (the canonical-structure plan cache,
-  optionally JSON-persistent),
+  optionally backed by the sharded plan store),
 * a trace-engine choice and machine-model defaults for simulation,
-* a worker-count default for parallel cold-structure solves —
+* a worker-count default for parallel tune-candidate evaluation —
 
 and exposes the typed entry points ``analyze``/``batch``/``sweep``/
 ``simulate``/``tune``/``hierarchy``/``distributed``/``health``, each
@@ -142,8 +142,9 @@ class Session:
         Trace engine for :meth:`simulate`: ``"batched"`` or
         ``"reference"``.
     workers:
-        Default worker-process count for cold structure solves in
-        :meth:`batch` (None = executor default; 0 = serial).
+        Default worker-process count for tune-candidate evaluation in
+        :meth:`tune`, :meth:`hierarchy` and :meth:`program` (None =
+        executor default; 0 = serial).
     """
 
     def __init__(
@@ -232,9 +233,10 @@ class Session:
         ``run(events)`` returns one ``(payload, meta, detail)`` per
         request; each becomes a ``kind`` Result whose meta is
         ``elapsed_ms`` (amortised over ``requests``), then the kind's own
-        ``meta`` keys, then ``degraded``/``degraded_reasons`` if a pool
-        broke.  Payload builders emit plain JSON types themselves
-        (lists, ``"p/q"`` strings), so no normalising walk runs here.
+        ``meta`` keys, then ``degraded``/``degraded_reasons`` if the
+        tune-candidate pool broke.  Payload builders emit plain JSON
+        types themselves (lists, ``"p/q"`` strings), so no normalising
+        walk runs here.
         An expired deadline maps every request to the structured 504
         envelope.
         """
@@ -325,21 +327,15 @@ class Session:
         self,
         requests: Iterable,
         *,
-        workers: int | None = None,
         budget: str = "per-array",
         deadline_ms: float | None = None,
     ) -> list[Result]:
         """Serve many analyze queries in request order.
 
-        Distinct missing canonical structures are solved in parallel
-        worker processes first (``workers``, defaulting to the session
-        setting), then every request is answered from the warm cache.
-        Each result's ``meta.elapsed_ms`` is the *amortised* per-request
-        batch time (total batch wall clock / request count).
-
-        If a worker pool breaks mid-run (a crashed worker), surviving
-        solves are kept, the rest are re-solved serially, and every
-        result's meta carries ``degraded: true``.  If ``deadline_ms``
+        Each request goes through the plan cache in turn, so a structure
+        solved for one request is warm for the later ones.  Each result's
+        ``meta.elapsed_ms`` is the *amortised* per-request batch time
+        (total batch wall clock / request count).  If ``deadline_ms``
         expires mid-batch, every request maps to the structured 504
         envelope (the batch is one unit of work — per-request partial
         answers would break positional zipping).
@@ -350,8 +346,6 @@ class Session:
             plans = plan_batch(
                 [PlanRequest(r.nest, r.cache_words, r.budget) for r in reqs],
                 planner=self.planner,
-                max_workers=self._workers(workers),
-                events=events,
             )
             return [self._analyze_answer(req, plan) for req, plan in zip(reqs, plans)]
 
@@ -362,11 +356,10 @@ class Session:
         self,
         request: SweepRequest,
         *,
-        workers: int | None = None,
         deadline_ms: float | None = None,
     ) -> list[Result]:
         """Expand a :class:`SweepRequest` grid and serve it as a batch."""
-        return self.batch(request.expand(), workers=workers, deadline_ms=deadline_ms)
+        return self.batch(request.expand(), deadline_ms=deadline_ms)
 
     @_traced
     def simulate(self, request: SimulateRequest, *, deadline_ms: float | None = None) -> Result:

@@ -152,12 +152,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="cross-product the :-separated --sizes/--bounds and -M lists",
     )
-    batch.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="worker processes for cold structure solves (default: auto; 0 = serial)",
-    )
     _add_plan_cache_argument(batch)
     return parser
 
@@ -478,7 +472,8 @@ def _run_kind(kind: str, args, build, **kwargs) -> int:
     """
     try:
         request = build()
-        session = Session(plan_cache=args.plan_cache, workers=args.workers)
+        # Only tune, hierarchy and program take --workers (candidate evaluation).
+        session = Session(plan_cache=args.plan_cache, workers=getattr(args, "workers", None))
         answer = getattr(session, kind)(request, **kwargs)
         results = answer if isinstance(answer, list) else [answer]
         for result in results:

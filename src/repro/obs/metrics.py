@@ -1,9 +1,9 @@
 """A dependency-free, process-local, *mergeable* metrics registry.
 
 The serving stack runs across an event loop, handler threads, and
-process-pool workers, so one global mutable registry per process is the
-wrong end state on its own — worker processes would silently count into
-registries nobody scrapes.  The design here mirrors how degradation
+tune-candidate pool workers, so one global mutable registry per process
+is the wrong end state on its own — worker processes would silently
+count into registries nobody scrapes.  The design here mirrors how degradation
 events already travel (``meta.degraded``): each worker builds a tiny
 local :class:`MetricsRegistry`, takes a :meth:`~MetricsRegistry.snapshot`
 (plain JSON types, safe across the pickle/JSON pool boundary), and the

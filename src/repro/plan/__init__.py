@@ -9,10 +9,10 @@ simplex per call is what this package does:
 * :mod:`repro.core.canonical` reduces each query to a bounds-independent
   canonical structure (the LP depends only on the projection pattern);
 * :class:`Planner` memoises one multiparametric solve per structure (an
-  in-memory LRU with optional JSON-on-disk persistence) and substitutes
-  bounds and cache size at lookup time, exactly;
-* :func:`plan_batch` sweeps request lists, warming distinct structures
-  in parallel worker processes and returning ordered results.
+  in-memory LRU with an optional sharded on-disk plan store) and
+  substitutes bounds and cache size at lookup time, exactly;
+* :func:`plan_batch` serves request lists through one planner and
+  returns the results in request order.
 """
 
 from .batch import plan_batch, sweep_requests

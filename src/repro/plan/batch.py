@@ -1,12 +1,11 @@
-"""Parallel sweep engine: ordered batch planning over request lists.
+"""Ordered batch planning over request lists.
 
-The expensive, parallelisable unit of work is the *structure solve*
-(multiparametric LP per canonical form, §7) — seconds for deep nests —
-while per-query evaluation against a warm cache is tens of
-microseconds.  :func:`plan_batch` therefore fans the distinct missing
-structures out to worker processes, installs the returned piece sets
-into the shared :class:`~repro.plan.planner.Planner`, and then serves
-every request in order from the warm cache in the parent process.
+:func:`plan_batch` answers each request in order through one shared
+:class:`~repro.plan.planner.Planner`: a structure the batch has not met
+yet is solved (or adopted from the plan store) on first use, and every
+later request on it is a warm lookup.  Cold multiparametric solves
+(§7) take milliseconds, less than a worker process takes to start, so
+the batch runs serially.
 
 Results are returned in request order, so callers can zip them back
 against their inputs (the batch CLI emits them as JSON lines the same
@@ -16,44 +15,16 @@ way).
 from __future__ import annotations
 
 import itertools
-import os
-import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from typing import Iterable, Sequence
 
-from ..core.canonical import CanonicalForm
 from ..core.loopnest import LoopNest
-from ..core.mplp import parametric_tile_exponent
-from ..obs import MetricsRegistry, merge_worker_delta
-from ..util import deadline, faults
-from .planner import Planner, PlanRequest, TilePlan, _piece_to_json
+# Not used here: perfbench/traced_serve.py patches this name in this
+# module, so it must stay importable from it.
+from ..core.mplp import parametric_tile_exponent  # noqa: F401
+from ..util import deadline
+from .planner import Planner, PlanRequest, TilePlan
 
 __all__ = ["plan_batch", "sweep_requests"]
-
-
-def _solve_structure(key: str) -> tuple[str, list[dict], dict]:
-    """Worker entry point: one multiparametric solve per canonical key.
-
-    Only strings and JSON-able dicts cross the process boundary, so the
-    pool works under any start method (fork or spawn).  The third item
-    is a metrics-registry snapshot of the worker's own observations —
-    the parent merges it like ``meta.degraded`` travels, so no solve
-    time is lost to process isolation.
-    """
-    if faults.active("worker-crash"):
-        # Hard exit (no unwinding), like a real OOM kill or segfault:
-        # this is what produces BrokenProcessPool in the parent.
-        os._exit(17)
-    registry = MetricsRegistry()
-    started = time.perf_counter()
-    form = CanonicalForm.from_key(key)
-    pvf = parametric_tile_exponent(form.to_nest())
-    registry.histogram("repro_worker_solve_seconds").observe(
-        time.perf_counter() - started
-    )
-    registry.counter("repro_worker_structure_solves_total").inc()
-    return key, [_piece_to_json(p) for p in pvf.pieces], registry.snapshot()
 
 
 def _as_request(item: PlanRequest | tuple) -> PlanRequest:
@@ -70,9 +41,7 @@ def _as_request(item: PlanRequest | tuple) -> PlanRequest:
 def plan_batch(
     requests: Iterable[PlanRequest | tuple],
     planner: Planner | None = None,
-    max_workers: int | None = None,
     include_bound: bool = True,
-    events: dict | None = None,
 ) -> list[TilePlan]:
     """Serve a batch of plan queries, in request order.
 
@@ -84,49 +53,10 @@ def plan_batch(
     planner:
         The cache to use (and warm).  A fresh private
         :class:`Planner` is created when omitted.
-    max_workers:
-        Worker processes for missing-structure solves.  ``0`` or ``1``
-        disables the pool; ``None`` lets the executor pick.  The pool is
-        only spun up when at least two distinct structures are missing —
-        otherwise fork/pool overhead cannot pay for itself.
-    events:
-        Optional out-dict: ``events["degraded"]`` is set when a pool
-        broke mid-run (worker crash) and the surviving structure solves
-        were kept while the rest were re-solved serially.  A pool that
-        never starts (restricted sandbox) is *not* degradation — the
-        serial path is this module's documented fallback.
     """
     reqs = [_as_request(item) for item in requests]
     if planner is None:
         planner = Planner()
-    missing: list[str] = []
-    seen: set[str] = set()
-    for req in reqs:
-        key = planner.canonicalization(req.nest).form.key()
-        # probe_structure also adopts shared-store entries, so a sibling
-        # process's solve never re-runs here.
-        if key not in seen and not planner.probe_structure(key):
-            seen.add(key)
-            missing.append(key)
-    if len(missing) >= 2 and max_workers not in (0, 1):
-        try:
-            with ProcessPoolExecutor(max_workers=max_workers) as pool:
-                futures = [pool.submit(_solve_structure, key) for key in missing]
-                for future in futures:
-                    key, pieces, delta = future.result()
-                    planner.install_structure(key, pieces)
-                    merge_worker_delta(delta)
-        except BrokenProcessPool:
-            # A worker crashed mid-run.  Structures installed before the
-            # crash stay installed; the serial serving loop below solves
-            # whatever is still missing on demand — slower, same answers.
-            if events is not None:
-                events["degraded"] = True
-                events.setdefault("degraded_reasons", []).append("plan-pool-crash")
-        except (OSError, RuntimeError):
-            # No usable process pool (restricted sandbox, missing
-            # semaphores, ...): the serial path below fills the cache.
-            pass
     out = []
     for req in reqs:
         deadline.checkpoint("plan-batch")

@@ -35,7 +35,7 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from ..core.bounds import CommunicationLowerBound, lower_bound_from_k_hat
 from ..core.canonical import CanonicalForm, Canonicalization, canonicalize
@@ -470,61 +470,35 @@ class Planner:
 
     # -- structure cache ----------------------------------------------------
 
-    def has_structure(self, key: str) -> bool:
-        with self._lock:
-            return key in self._structures
-
     def cached_keys(self) -> list[str]:
         with self._lock:
             return list(self._structures)
 
-    def install_structure(self, key: str, pieces_json: Iterable[dict]) -> None:
-        """Insert a structure solved by a pool worker, and publish it.
-
-        The piece set is also offered to the shared store, so a pool
-        worker's solve warms sibling processes and later runs.
-        """
-        pieces_json = list(pieces_json)
-        self._install(key, pieces_json)
-        if self.shared_store is not None:
-            self.shared_store.put(key, pieces_json)
-
-    def _install(self, key: str, pieces_json: list[dict]) -> None:
-        """Insert a pre-solved structure into the in-memory LRU only."""
-        form = CanonicalForm.from_key(key)
-        pieces = tuple(sorted(
-            (_piece_from_json(blob) for blob in pieces_json),
-            key=lambda p: (p.constant, p.coeffs),
-        ))
-        pvf = PiecewiseValueFunction(nest=form.to_nest(), pieces=pieces, pruned=True)
-        with self._lock:
-            self._structures[key] = _StructurePlan(form=form, pvf=pvf)
-            self._structures.move_to_end(key)
-            self._evict()
-
-    def probe_structure(self, key: str) -> bool:
-        """Is ``key`` answerable without a solve (memory or shared store)?
-
-        A shared-store hit is adopted into the in-memory cache as a side
-        effect, so a True answer means subsequent queries are warm.
-        """
-        return self.has_structure(key) or self._adopt_shared(key)
-
     def _adopt_shared(self, key: str) -> bool:
-        """Pull one structure from the shared store, if present there."""
+        """Pull one structure from the shared store into the LRU, if present there."""
         if self.shared_store is None:
             return False
-        pieces = self.shared_store.get(key)
-        if pieces is None:
+        pieces_json = self.shared_store.get(key)
+        if pieces_json is None:
             return False
         try:
-            self._install(key, pieces)
+            form = CanonicalForm.from_key(key)
+            pieces = tuple(
+                sorted(
+                    (_piece_from_json(blob) for blob in pieces_json),
+                    key=lambda p: (p.constant, p.coeffs),
+                )
+            )
+            pvf = PiecewiseValueFunction(nest=form.to_nest(), pieces=pieces, pruned=True)
         except Exception:
             # A poisoned entry must degrade to a fresh solve, never an
             # unstructured failure; invalidation stats live in the store.
             _log.warning("discarding malformed shared-store entry %r", key)
             return False
         with self._lock:
+            self._structures[key] = _StructurePlan(form=form, pvf=pvf)
+            self._structures.move_to_end(key)
+            self._evict()
             self.stats.shared_hits += 1
         return True
 

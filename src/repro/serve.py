@@ -1028,7 +1028,7 @@ class ServiceServer:
                 row.request.from_json(entry, f"requests[{idx}]")
                 for idx, entry in enumerate(entries)
             ]
-        results = self.session.batch(requests, workers=0)
+        results = self.session.batch(requests)
         if results and all(not r.ok for r in results):
             # The batch failed as one unit (an expired deadline maps every
             # request to the same envelope): answer with that envelope and

@@ -10,16 +10,17 @@ capacity **and** at every capacity of the requested Pareto axis, so a
 single tuning run produces a whole capacity→best-tile front for free.
 
 Evaluations are embarrassingly parallel across candidates;
-:func:`evaluate_candidates` fans them out to worker processes exactly
-like the plan engine fans out structure solves (JSON-able payloads
-only, serial fallback when no usable pool exists).
+:func:`evaluate_candidates` fans them out to worker processes
+(JSON-able payloads only, serial fallback when no usable pool exists).
+This is the repository's one process pool: scoring is numpy-heavy
+enough to pay for the workers' start-up.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -45,6 +46,10 @@ __all__ = [
 #: smaller batches — coordinate descent's per-axis variants, random
 #: restarts — always take the serial path.
 MIN_PARALLEL_CANDIDATES = 8
+
+#: How long the parent waits on a worker before polling the request
+#: deadline again, in seconds.
+_DEADLINE_POLL_S = 0.01
 
 
 @dataclass(frozen=True)
@@ -132,6 +137,14 @@ def _evaluate_worker(payload: tuple[dict, list[int], list[int], bool | None]) ->
     return {"evaluation": evaluation.to_json(), "metrics": registry.snapshot()}
 
 
+def _await(future: Future):
+    """``future.result()``, polling the request deadline while it waits."""
+    while True:
+        deadline.checkpoint("tune-candidate")
+        if wait((future,), timeout=_DEADLINE_POLL_S).done:
+            return future.result()
+
+
 def evaluate_candidates(
     nest: LoopNest,
     candidates: Sequence[Sequence[int]],
@@ -142,12 +155,11 @@ def evaluate_candidates(
 ) -> list[TileEvaluation]:
     """Evaluate many candidates, in order; parallel when it can pay.
 
-    ``workers`` follows the plan-engine convention: ``0``/``1`` force
-    the serial path, ``None`` lets the executor pick.  A pool is only
-    attempted for :data:`MIN_PARALLEL_CANDIDATES` or more candidates
-    (below that, pool startup costs more than the simulations), and any
-    pool failure falls back to serial — the answers are identical either
-    way.  Two failure classes are told apart:
+    ``workers``: ``0``/``1`` force the serial path, ``None`` lets the
+    executor pick.  A pool is only attempted for
+    :data:`MIN_PARALLEL_CANDIDATES` or more candidates (below that, pool
+    startup costs more than the simulations), and any pool failure falls
+    back to serial — the answers are identical either way.  Two failure classes are told apart:
 
     * the pool never starts (restricted sandbox, missing semaphores) —
       the silent serial fallback this module always had;
@@ -156,6 +168,10 @@ def evaluate_candidates(
       serially, and ``events["degraded"]`` is set so service surfaces
       can report ``degraded: true`` without perturbing fault-free
       payloads.
+
+    The request deadline is polled while the parent waits on workers;
+    on expiry the candidates no worker has started are cancelled and
+    :class:`~repro.util.deadline.DeadlineExceeded` propagates.
     """
     blocks_list = [tuple(int(b) for b in blocks) for blocks in candidates]
     if len(blocks_list) >= MIN_PARALLEL_CANDIDATES and workers not in (0, 1):
@@ -168,10 +184,15 @@ def evaluate_candidates(
         try:
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 futures = [pool.submit(_evaluate_worker, p) for p in payloads]
-                for idx, future in enumerate(futures):
-                    blob = future.result()
-                    merge_worker_delta(blob["metrics"])
-                    done[idx] = TileEvaluation.from_json(blob["evaluation"])
+                try:
+                    for idx, future in enumerate(futures):
+                        blob = _await(future)
+                        merge_worker_delta(blob["metrics"])
+                        done[idx] = TileEvaluation.from_json(blob["evaluation"])
+                except deadline.DeadlineExceeded:
+                    # Drop what no worker has started; wait for the rest.
+                    pool.shutdown(cancel_futures=True)
+                    raise
                 return [done[i] for i in range(len(blocks_list))]
         except BrokenProcessPool:
             # Mid-run crash: keep the survivors, finish the rest serially.
@@ -185,6 +206,8 @@ def evaluate_candidates(
                 )
                 for i in range(len(blocks_list))
             ]
+        except deadline.DeadlineExceeded:
+            raise
         except (OSError, RuntimeError):
             pass
     out = []

@@ -74,10 +74,9 @@ def tune_tile(
     process-wide :func:`repro.api.default_session`'s planner — like
     ``repro.analyze``, repeated top-level calls on structurally
     identical nests never re-run the simplex.  ``workers`` parallelises
-    candidate evaluation like the plan engine parallelises structure
-    solves.  ``include_candidates=True`` attaches every evaluation to
-    the report (the bench and notebooks want the full table; the wire
-    default keeps payloads small).
+    candidate evaluation (``0`` = serial).  ``include_candidates=True``
+    attaches every evaluation to the report (the bench and notebooks
+    want the full table; the wire default keeps payloads small).
 
     Returns a :class:`~repro.tune.TuneReport` whose winning tile is
     never worse (in measured traffic at ``cache_words``) than the

@@ -7,8 +7,8 @@ case.  Tests (and the CI chaos-smoke job) arm faults either
 * in-process, with the :func:`inject` context manager, or
 * across process boundaries, via the ``REPRO_FAULTS`` environment
   variable (a comma-separated list of fault names) — the only channel
-  that reaches process-pool workers, which inherit the parent
-  environment at fork/spawn time.
+  that reaches the tune-candidate pool's workers, which inherit the
+  parent environment at fork/spawn time.
 
 The catalogue is closed: arming an unknown name raises immediately, so
 a typo in a test arms nothing silently.
@@ -19,9 +19,8 @@ Injection points live next to the code they perturb:
     :func:`repro.util.deadline.checkpoint` sleeps a few milliseconds per
     LP pivot, so a tiny deadline reliably expires mid-simplex.
 ``worker-crash``
-    Process-pool workers (:mod:`repro.plan.batch`,
-    :mod:`repro.tune.evaluate`) hard-exit, producing a real
-    ``BrokenProcessPool`` mid-run.
+    Tune-candidate pool workers (:mod:`repro.tune.evaluate`) hard-exit,
+    producing a real ``BrokenProcessPool`` mid-run.
 ``corrupt-cache-read``
     :class:`repro.util.sharedstore.SharedPlanStore` sees every shard it
     reads torn in half.

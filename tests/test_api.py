@@ -292,7 +292,7 @@ class TestSession:
         reqs = [
             AnalyzeRequest(nest=matmul(64, 64, 2**i), cache_words=1024) for i in range(6)
         ]
-        results = session.batch(reqs, workers=0)
+        results = session.batch(reqs)
         assert [r.payload["bounds"][2] for r in results] == [2**i for i in range(6)]
         assert session.stats.structure_solves <= 2  # skinny + cubic shapes share
 
@@ -301,7 +301,7 @@ class TestSession:
         sweep = SweepRequest(
             problem="nbody", size_axes=((32, 64), (32,)), cache_sizes=(64, 256)
         )
-        results = session.sweep(sweep, workers=0)
+        results = session.sweep(sweep)
         assert len(results) == len(sweep.expand()) == 4
         assert all(r.kind == "analyze" for r in results)
 
@@ -475,7 +475,7 @@ class TestDeprecatedShims:
 
         with w.catch_warnings():
             w.simplefilter("error", DeprecationWarning)
-            repro.plan.plan_batch([(matmul(16, 16, 16), 64)], max_workers=0)
+            repro.plan.plan_batch([(matmul(16, 16, 16), 64)])
             repro.plan.sweep_requests(nbody, [(8,), (8,)], [64])
 
 

@@ -106,7 +106,7 @@ class TestBatchCLI:
         ]
         path = tmp_path / "requests.json"
         path.write_text(json.dumps(requests))
-        assert main(["--batch", str(path), "--workers", "0"]) == 0
+        assert main(["--batch", str(path)]) == 0
         lines = self._lines(capsys)
         assert len(lines) == 2
         for line in lines:
@@ -124,7 +124,7 @@ class TestBatchCLI:
             {"statement": "F[i] += P[i] * Q[j]", "bounds": {"i": 8, "j": 8},
              "cache_words": 32},
         ]))
-        assert main(["--batch", str(path), "--workers", "0"]) == 0
+        assert main(["--batch", str(path)]) == 0
         lines = self._lines(capsys)
         assert [ln["payload"]["name"] for ln in lines] == ["request0", "request1"]
 
@@ -138,7 +138,7 @@ class TestBatchCLI:
                 json.dumps({"version": 1, "entries": {"d1:0": {}}})
             )
         rc = main(["--problem", "matvec", "--sweep", "--sizes", "8,8", "-M", "16",
-                   "--workers", "0", "--plan-cache", str(store)])
+                   "--plan-cache", str(store)])
         assert rc == 0
         assert self._lines(capsys)  # the sweep was served anyway
         assert SharedPlanStore(store).keys() == ["d2:0|0.1|1"]
@@ -150,7 +150,7 @@ class TestBatchCLI:
         legacy.write_text('{"version": 1, "entries": {}}')
         with pytest.raises(SystemExit) as exc:
             main(["--problem", "matvec", "--sweep", "--sizes", "8,8", "-M", "16",
-                  "--workers", "0", "--plan-cache", str(legacy)])
+                  "--plan-cache", str(legacy)])
         assert exc.value.code == 2
         assert "takes a directory" in capsys.readouterr().err
         assert legacy.read_text() == '{"version": 1, "entries": {}}'
@@ -170,7 +170,7 @@ class TestBatchCLI:
         path.write_text(json.dumps(
             {"requests": [{"problem": "matvec", "cache_words": 256}]}
         ))
-        assert main(["--batch", str(path), "--workers", "0"]) == 0
+        assert main(["--batch", str(path)]) == 0
         (line,) = self._lines(capsys)
         assert line["payload"]["name"] == "matvec"
 
@@ -182,7 +182,7 @@ class TestBatchCLI:
 
     def test_sweep_grid_lines(self, capsys):
         rc = main(["--problem", "matmul", "--sizes", "64:128,64,8",
-                   "-M", "256:1024", "--sweep", "--workers", "0"])
+                   "-M", "256:1024", "--sweep"])
         assert rc == 0
         lines = self._lines(capsys)
         assert len(lines) == 4  # 2 sizes x 2 cache sizes, cache innermost
@@ -192,7 +192,7 @@ class TestBatchCLI:
 
     def test_sweep_statement_bounds_axes(self, capsys):
         rc = main(["F[i] += P[i] * Q[j]", "--bounds", "i=16:64,j=32",
-                   "-M", "64", "--sweep", "--workers", "0"])
+                   "-M", "64", "--sweep"])
         assert rc == 0
         lines = self._lines(capsys)
         assert [ln["payload"]["bounds"] for ln in lines] == [[16, 32], [64, 32]]
@@ -200,7 +200,7 @@ class TestBatchCLI:
     def test_plan_cache_persists(self, capsys, tmp_path):
         store = tmp_path / "plans"
         rc = main(["--problem", "matmul", "--sizes", "32,32,32", "-M", "256",
-                   "--sweep", "--workers", "0", "--plan-cache", str(store)])
+                   "--sweep", "--plan-cache", str(store)])
         assert rc == 0
         assert SharedPlanStore(store).keys() == ["d3:0.1|0.2|1.2"]
 
@@ -215,5 +215,14 @@ class TestBatchCLI:
         # has no process pool to size.
         with pytest.raises(SystemExit) as exc:
             main(["serve", "--workers", "2"])
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+
+    def test_batch_workers_flag_is_a_usage_error(self, capsys, tmp_path):
+        # Batch and sweep plan serially; only the tuners take --workers.
+        path = tmp_path / "requests.json"
+        path.write_text(json.dumps([{"problem": "matvec", "cache_words": 256}]))
+        with pytest.raises(SystemExit) as exc:
+            main(["--batch", str(path), "--workers", "0"])
         assert exc.value.code == 2
         assert "--workers" in capsys.readouterr().err

@@ -9,9 +9,13 @@ them), and the exact meta key set of a clean answer.
 """
 
 import json
+import os
+import subprocess
+import sys
 import threading
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import pytest
 
@@ -208,3 +212,17 @@ def test_session_payloads_are_already_json_safe(kind):
             assert json_safe(result.payload) == result.payload
             assert Result.from_json(result.to_json()) == result
             assert Result.from_json(json.loads(result.to_json_str())) == result
+
+
+def test_traced_serve_install_finds_every_patched_name():
+    """The layer-timing launcher patches each name in the module the
+    server looks it up in; a refactor that moves one must fail here, not
+    only in traced benchmark runs."""
+    root = Path(__file__).resolve().parents[1]
+    code = "import runpy; runpy.run_path('perfbench/traced_serve.py')['install']()"
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], cwd=root, env=env,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -255,6 +255,7 @@ class TestSignalShutdown:
             if proc.poll() is None:
                 proc.kill()
                 proc.wait(timeout=10)
+            proc.stdout.close()
 
 
 class TestGoldenParityAcrossModes:

@@ -136,8 +136,8 @@ class TestRegistry:
         merges = registry.counter("repro_worker_merges_total")
         before = merges.value
         worker = MetricsRegistry()
-        worker.counter("repro_worker_structure_solves_total").inc()
-        solves = registry.counter("repro_worker_structure_solves_total")
+        worker.counter("repro_worker_evaluations_total").inc()
+        solves = registry.counter("repro_worker_evaluations_total")
         solved_before = solves.value
         merge_worker_delta(worker.snapshot())
         merge_worker_delta(None)  # a no-delta worker is a no-op

@@ -207,44 +207,27 @@ class TestPlanBatch:
             PlanRequest(nest=CATALOG["nbody"], cache_words=1024),
             (mttkrp(32, 32, 32, 8), 4096, "aggregate"),
         ]
-        plans = plan_batch(reqs, max_workers=0)
+        plans = plan_batch(reqs)
         assert [p.nest.name for p in plans] == ["matmul", "nbody", "mttkrp"]
         for plan in plans:
             assert_plan_matches_solver(plan, plan.nest, plan.cache_words, plan.budget)
 
-    def test_parallel_warming_matches_serial(self):
-        reqs = [
-            (matmul(64, 64, 64), 4096),
-            (CATALOG["nbody"], 1024),
-            (CATALOG["matvec"], 4096),
-            (mttkrp(32, 32, 32, 8), 4096),
-        ]
-        serial_planner = Planner()
-        serial = plan_batch(reqs, planner=serial_planner, max_workers=0)
-        parallel_planner = Planner()
-        parallel = plan_batch(reqs, planner=parallel_planner, max_workers=2)
-        assert serial_planner.stats.structure_solves == 4
-        for left, right in zip(serial, parallel):
-            assert left.exponent == right.exponent
-            assert left.tile.blocks == right.tile.blocks
-            assert left.canonical_key == right.canonical_key
-
     def test_warm_batch_never_resolves_structures(self):
         planner = Planner()
         reqs = [(matmul(2**i, 64, 64), 4096) for i in range(4, 10)]
-        plan_batch(reqs, planner=planner, max_workers=0)
+        plan_batch(reqs, planner=planner)
         solves = planner.stats.structure_solves
         plan_batch(reqs, planner=planner)
         assert planner.stats.structure_solves == solves == 1
 
     def test_empty_batch(self):
-        assert plan_batch([], max_workers=0) == []
+        assert plan_batch([]) == []
 
     def test_bad_request_tuples_rejected(self):
         with pytest.raises(TypeError):
-            plan_batch([CATALOG["matmul"]], max_workers=0)
+            plan_batch([CATALOG["matmul"]])
         with pytest.raises(TypeError):
-            plan_batch([(CATALOG["matmul"], 64, "per-array", "extra")], max_workers=0)
+            plan_batch([(CATALOG["matmul"], 64, "per-array", "extra")])
 
     def test_sweep_requests_ordering(self):
         reqs = sweep_requests(matmul, [[64, 128], [64], [16]], [256, 1024])
@@ -267,7 +250,7 @@ class TestBatchCLI:
         ]
         path = tmp_path / "requests.json"
         path.write_text(json.dumps(requests))
-        rc = main(["--batch", str(path), "--workers", "0"])
+        rc = main(["--batch", str(path)])
         assert rc == 0
         lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
         # Each line is a schema-v1 Result envelope around the plan payload.
@@ -285,7 +268,7 @@ class TestBatchCLI:
         req_path = tmp_path / "requests.json"
         req_path.write_text(json.dumps({"requests": requests}))
         store = tmp_path / "plans"
-        argv = ["--batch", str(req_path), "--workers", "0", "--plan-cache", str(store)]
+        argv = ["--batch", str(req_path), "--plan-cache", str(store)]
         assert main(argv) == 0
         capsys.readouterr()
         assert list(store.glob("shard-*.json"))
@@ -302,7 +285,7 @@ class TestBatchCLI:
 
     def test_sweep_mode_problem(self, capsys):
         rc = main([
-            "--problem", "matmul", "--sweep", "--workers", "0",
+            "--problem", "matmul", "--sweep",
             "--sizes", "64:128,64,16", "-M", "256:1024",
         ])
         assert rc == 0
@@ -314,7 +297,7 @@ class TestBatchCLI:
 
     def test_sweep_mode_statement(self, capsys):
         rc = main([
-            "F[i] += P[i] * Q[j]", "--sweep", "--workers", "0",
+            "F[i] += P[i] * Q[j]", "--sweep",
             "--bounds", "i=64:128,j=32", "-M", "64",
         ])
         assert rc == 0

@@ -11,7 +11,7 @@ import threading
 
 import pytest
 
-from repro.library.problems import matmul, mttkrp
+from repro.library.problems import matmul
 from repro.plan import Planner
 from repro.util.sharedstore import STORE_SCHEMA_VERSION, SharedPlanStore
 
@@ -183,17 +183,6 @@ class TestPlannerWiring:
         plan = sibling.plan(matmul(64, 64, 64), 1024)  # same structure
         assert plan.exponent == solver.plan(matmul(64, 64, 64), 1024).exponent
         assert sibling.stats.structure_solves == 0
-        assert sibling.stats.shared_hits == 1
-
-    def test_probe_structure_adopts_without_planning(self, tmp_path):
-        solver = Planner(shared_store=SharedPlanStore(tmp_path))
-        key = solver.canonicalization(mttkrp(8, 8, 8, 8)).form.key()
-        solver.plan(mttkrp(8, 8, 8, 8), 256)
-
-        sibling = Planner(shared_store=SharedPlanStore(tmp_path))
-        assert not sibling.has_structure(key)
-        assert sibling.probe_structure(key)
-        assert sibling.has_structure(key)
         assert sibling.stats.shared_hits == 1
 
     def test_stale_version_forces_resolve(self, tmp_path):
