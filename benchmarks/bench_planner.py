@@ -12,8 +12,8 @@ measures:
 * cold: per-query ``solve_tiling`` (what the pre-plan code paths did),
 * cold+bound: ``solve_tiling`` + ``communication_lower_bound`` (the
   true per-query cost of what a plan contains),
-* warm engine: ``repro.plan.plan_batch`` against the pre-warmed
-  planner (the raw cache lookup path),
+* warm engine: a ``Planner.plan`` loop over the requests against the
+  pre-warmed planner (the raw cache lookup path),
 * warm service: ``repro.api.Session.batch`` — the full façade path,
   versioned Result envelope construction included,
 
@@ -41,7 +41,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from repro import canonical_key
-from repro.api import Session
+from repro.api import AnalyzeRequest, Session
 
 # The cold baselines measure the raw per-query solvers the façade
 # replaced; imported under explicit names to mark them as baselines.
@@ -56,7 +56,7 @@ from repro.library.problems import (
     pointwise_conv,
     syrk,
 )
-from repro.plan import Planner, PlanRequest, plan_batch
+from repro.plan import Planner
 
 RESULTS = Path(__file__).parent / "results"
 
@@ -79,7 +79,7 @@ def _write_bench_json(update: dict, smoke: bool) -> None:
         path.write_text(json.dumps(payload, indent=2) + "\n")
 
 
-def _workload(rng: random.Random, count: int) -> list[PlanRequest]:
+def _workload(rng: random.Random, count: int) -> list[AnalyzeRequest]:
     """A compiler-batch-shaped query mix over five canonical structures."""
 
     def size() -> int:
@@ -96,7 +96,7 @@ def _workload(rng: random.Random, count: int) -> list[PlanRequest]:
     out = []
     for idx in range(count):
         nest = makers[idx % len(makers)]()
-        out.append(PlanRequest(nest=nest, cache_words=rng.choice([2**12, 2**14, 2**16])))
+        out.append(AnalyzeRequest(nest=nest, cache_words=rng.choice([2**12, 2**14, 2**16])))
     return out
 
 
@@ -118,9 +118,11 @@ def test_e17_warm_cache_speedup_json(table, smoke):
         results = session.batch(requests)
     t_warm = (time.perf_counter() - t0) / passes
 
+    planner = session.planner
     t0 = time.perf_counter()
     for _ in range(passes):
-        plan_batch(requests, planner=session.planner)
+        for r in requests:
+            planner.plan(r.nest, r.cache_words, r.budget)
     t_warm_engine = (time.perf_counter() - t0) / passes
 
     t0 = time.perf_counter()
@@ -152,7 +154,7 @@ def test_e17_warm_cache_speedup_json(table, smoke):
     t.add("distinct structures", structures)
     t.add("cold solve_tiling", f"{t_cold * 1000 / n_queries:.3f} ms/query")
     t.add("cold + lower bound", f"{t_cold_bound * 1000 / n_queries:.3f} ms/query")
-    t.add("warm engine (plan_batch)", f"{t_warm_engine * 1000 / n_queries:.3f} ms/query")
+    t.add("warm engine (Planner.plan loop)", f"{t_warm_engine * 1000 / n_queries:.3f} ms/query")
     t.add("warm service (Session.batch)", f"{t_warm * 1000 / n_queries:.3f} ms/query")
     t.add("engine speedup vs solve_tiling", f"{speedup_engine:.1f}x")
     t.add("service speedup vs solve_tiling", f"{speedup:.1f}x")
@@ -173,7 +175,7 @@ def test_e17_warm_cache_speedup_json(table, smoke):
             "ms_per_query": round(t_cold_bound * 1000 / n_queries, 4),
         },
         "warm_engine": {
-            "what": "plan_batch on the warm planner (tile + exponent + bound)",
+            "what": "Planner.plan loop on the warm planner (tile + exponent + bound)",
             "seconds": round(t_warm_engine, 4),
             "ms_per_query": round(t_warm_engine * 1000 / n_queries, 4),
         },
@@ -203,7 +205,7 @@ def test_e17_warm_cache_speedup_json(table, smoke):
         assert t_warm <= 2.0 * t_warm_engine + 0.05, payload
 
 
-def _novel_workload(rng: random.Random, count: int, used: set[int]) -> list[PlanRequest]:
+def _novel_workload(rng: random.Random, count: int, used: set[int]) -> list[AnalyzeRequest]:
     """``_workload``'s structures with bounds no earlier query used.
 
     Every bound is fresh, so each beta misses the planner's log memo and
@@ -226,7 +228,7 @@ def _novel_workload(rng: random.Random, count: int, used: set[int]) -> list[Plan
     ]
     caches = [2**12, 2**14, 2**16]
     return [
-        PlanRequest(nest=makers[idx % len(makers)](), cache_words=rng.choice(caches))
+        AnalyzeRequest(nest=makers[idx % len(makers)](), cache_words=rng.choice(caches))
         for idx in range(count)
     ]
 

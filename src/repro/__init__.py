@@ -70,7 +70,7 @@ from .core import (
 from .library import catalog
 from .machine import MachineModel, MissCurve, TrafficReport, miss_curve
 from .parallel import distributed_lower_bound, optimal_grid, simulate_grid
-from .plan import Planner, PlanRequest, TilePlan
+from .plan import Planner, TilePlan
 from .simulate import (
     best_order_traffic,
     generate_trace_batched,
@@ -193,6 +193,5 @@ __all__ = [
     "canonicalize",
     "canonical_key",
     "Planner",
-    "PlanRequest",
     "TilePlan",
 ]

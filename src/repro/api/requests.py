@@ -29,6 +29,7 @@ have to spell out supports by hand.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -236,6 +237,14 @@ class SweepRequest:
         else:
             _require(bool(self.bound_axes), "a statement sweep needs 'bound_axes'")
         return self
+
+    def grid_size(self) -> int:
+        """How many requests :meth:`expand` yields, counted from the axes."""
+        if self.problem is not None:
+            axes = self.size_axes
+        else:
+            axes = [choices for _, choices in self.bound_axes]
+        return len(self.cache_sizes) * math.prod(len(axis) for axis in axes)
 
     def expand(self) -> list[AnalyzeRequest]:
         """Materialise the grid as ordered :class:`AnalyzeRequest` items."""

@@ -8,8 +8,8 @@ A :class:`Session` owns the machinery a stream of queries shares —
 * a worker-count default for parallel tune-candidate evaluation —
 
 and exposes the typed entry points ``analyze``/``batch``/``sweep``/
-``simulate``/``tune``/``hierarchy``/``distributed``/``health``, each
-returning a versioned
+``simulate``/``tune``/``hierarchy``/``program``/``distributed``/``health``,
+each returning a versioned
 :class:`~repro.api.Result` envelope with timing and cache-hit metadata.
 The CLI, the HTTP service (:mod:`repro.serve`), the benchmarks and the
 examples all go through this class; the flat top-level helpers
@@ -27,19 +27,18 @@ import time
 from dataclasses import replace
 from typing import Iterable
 
-from ..core.bounds import CommunicationLowerBound, communication_lower_bound
-from ..core.duality import Theorem3Certificate, theorem3_certificate
+from ..core.bounds import CommunicationLowerBound
+from ..core.duality import Theorem3Certificate
 from ..core.loopnest import LoopNest
 from ..core.tiling import TileShape, TilingSolution, solve_tiling
 from ..frontend.pipeline import plan_program
 from ..machine.model import MachineModel
 from ..obs import current_trace, global_registry, span, trace_scope
 from ..parallel.distributed import DistributedReport, simulate_grid
-from ..plan.batch import plan_batch
-from ..plan.planner import Planner, PlanRequest, TilePlan
+from ..plan.planner import Planner, TilePlan
 from ..simulate.trace_sim import run_trace_simulation
 from ..tune.tuner import tune_hierarchy, tune_tile
-from ..util.deadline import DeadlineExceeded, deadline_scope
+from ..util.deadline import DeadlineExceeded, checkpoint, deadline_scope
 from .requests import (
     AnalyzeRequest,
     DistributedRequest,
@@ -182,7 +181,7 @@ class Session:
         budget: str = "per-array",
         certificate: bool = False,
     ) -> AnalyzeRequest:
-        if isinstance(request, (AnalyzeRequest, PlanRequest)):
+        if isinstance(request, AnalyzeRequest):
             # A request object is authoritative; mixing in overrides
             # would silently answer for the wrong instance.
             if cache_words is not None or budget != "per-array":
@@ -190,17 +189,9 @@ class Session:
                     "pass cache_words/budget either inside the request object "
                     "or alongside a bare nest, not both"
                 )
-        if isinstance(request, AnalyzeRequest):
             if certificate and not request.certificate:
                 request = replace(request, certificate=True)
             return request
-        if isinstance(request, PlanRequest):
-            return AnalyzeRequest(
-                nest=request.nest,
-                cache_words=request.cache_words,
-                budget=request.budget,
-                certificate=certificate,
-            )
         if isinstance(request, LoopNest):
             if cache_words is None:
                 raise RequestError("analyze(nest, ...) needs cache_words")
@@ -307,8 +298,7 @@ class Session:
     ) -> Result:
         """One query through the plan cache; the ``/v1/analyze`` core.
 
-        Accepts an :class:`AnalyzeRequest`, a
-        :class:`~repro.plan.PlanRequest`, a bare nest plus
+        Accepts an :class:`AnalyzeRequest`, a bare nest plus
         ``cache_words``, or a ``(nest, cache_words[, budget])`` tuple.
         ``deadline_ms`` bounds the solve cooperatively: a cold structure
         whose simplex outruns the budget yields a structured 504
@@ -332,8 +322,10 @@ class Session:
     ) -> list[Result]:
         """Serve many analyze queries in request order.
 
-        Each request goes through the plan cache in turn, so a structure
-        solved for one request is warm for the later ones.  Each result's
+        Items take any :meth:`analyze` spelling except a bare nest.  Each
+        request goes through the plan cache in turn, so a structure
+        solved (or adopted from the plan store) for one request is a
+        warm lookup for the later ones.  Each result's
         ``meta.elapsed_ms`` is the *amortised* per-request batch time
         (total batch wall clock / request count).  If ``deadline_ms``
         expires mid-batch, every request maps to the structured 504
@@ -343,11 +335,12 @@ class Session:
         reqs = [self._as_analyze(item, budget=budget) for item in requests]
 
         def run(events):
-            plans = plan_batch(
-                [PlanRequest(r.nest, r.cache_words, r.budget) for r in reqs],
-                planner=self.planner,
-            )
-            return [self._analyze_answer(req, plan) for req, plan in zip(reqs, plans)]
+            answers = []
+            for req in reqs:
+                checkpoint("plan-batch")
+                plan = self.planner.plan(req.nest, req.cache_words, req.budget)
+                answers.append(self._analyze_answer(req, plan))
+            return answers
 
         return self._answer("analyze", reqs, deadline_ms, run)
 
@@ -623,8 +616,6 @@ class Session:
 
     def lower_bound(self, nest: LoopNest, cache_words: int) -> CommunicationLowerBound:
         """Cache-aware :func:`~repro.core.bounds.communication_lower_bound`."""
-        if cache_words < 2:
-            return communication_lower_bound(nest, cache_words)
         bound = self.planner.plan(nest, cache_words, include_bound=True).lower_bound
         assert bound is not None
         return bound
@@ -634,20 +625,12 @@ class Session:
 
         Exactly what ``repro.analyze`` returns — bound, tiling and
         Theorem-3 certificate — but served from the plan cache: on a
-        warm structure no rational simplex runs at all.
+        warm structure no rational simplex runs at all.  The bound and
+        certificate need ``cache_words >= 2``; below that the planner
+        raises ``ValueError``.
         """
         from .. import Analysis
 
-        if cache_words < 2:
-            # Degenerate caches predate the planner's domain; keep the
-            # original direct path for exact behavioural parity.
-            return Analysis(
-                nest=nest,
-                cache_words=cache_words,
-                lower_bound=communication_lower_bound(nest, cache_words),
-                tiling=solve_tiling(nest, cache_words, budget=budget),
-                certificate=theorem3_certificate(nest, cache_words),
-            )
         plan = self.planner.plan(nest, cache_words, budget, include_bound=True)
         return Analysis(
             nest=nest,

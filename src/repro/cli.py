@@ -61,7 +61,6 @@ façade the library, the benchmarks and the HTTP service share.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import os
 import sys
@@ -73,6 +72,7 @@ from .api import (
     ProgramRequest,
     RequestError,
     Session,
+    SweepRequest,
     TuneRequest,
 )
 from .api import default_session as _session
@@ -508,8 +508,11 @@ def _run_program(argv: Sequence[str]) -> int:
 def _nest_from_args(args, parser: argparse.ArgumentParser) -> LoopNest:
     """The shared statement/--problem nest spelling of the subcommands."""
     if args.problem:
-        sizes = tuple(int(s) for s in args.sizes.split(",")) if args.sizes else None
-        return build_problem(args.problem, sizes)
+        try:
+            sizes = tuple(int(s) for s in args.sizes.split(",")) if args.sizes else None
+            return build_problem(args.problem, sizes)
+        except (TypeError, ValueError) as exc:
+            raise ParseError(f"bad --sizes for problem: {exc}") from None
     if args.statement:
         if not args.bounds:
             parser.error("--bounds is required with a statement")
@@ -617,35 +620,35 @@ def _batch_requests_from_file(path: str) -> list[AnalyzeRequest]:
     return requests
 
 
-def _sweep_requests_from_args(args, parser: argparse.ArgumentParser) -> list[AnalyzeRequest]:
+def _sweep_from_args(args, parser: argparse.ArgumentParser) -> SweepRequest:
+    """The ``--sweep`` grid: ``:``-separated choices per size or bound, and -M."""
     if args.cache_words is None:
         parser.error("-M/--cache-words is required with --sweep")
-    cache_sizes = _parse_choices(args.cache_words, "-M")
-    nests: list[LoopNest] = []
+    cache_sizes = tuple(_parse_choices(args.cache_words, "-M"))
     if args.problem:
         if not args.sizes:
             parser.error("--sweep needs explicit --sizes axes")
-        axes = [_parse_choices(axis, "--sizes") for axis in args.sizes.split(",")]
-        for sizes in itertools.product(*axes):
-            nests.append(build_problem(args.problem, sizes))
-    elif args.statement:
-        if not args.bounds:
-            parser.error("--bounds is required with a statement")
-        bound_axes: dict[str, list[int]] = {}
-        for piece in args.bounds.split(","):
-            if "=" not in piece:
-                raise ParseError(f"bad bounds entry {piece!r}; expected name=values")
-            name, _, value = piece.partition("=")
-            bound_axes[name.strip()] = _parse_choices(value, "--bounds")
-        for combo in itertools.product(*bound_axes.values()):
-            nests.append(parse_nest(args.statement, dict(zip(bound_axes, combo))))
-    else:
+        size_axes = tuple(
+            tuple(_parse_choices(axis, "--sizes")) for axis in args.sizes.split(",")
+        )
+        return SweepRequest(
+            cache_sizes=cache_sizes, problem=args.problem, size_axes=size_axes,
+            budget=args.budget,
+        ).validate()
+    if not args.statement:
         parser.error("--sweep needs a statement or --problem")
-    return [
-        AnalyzeRequest(nest=nest, cache_words=m, budget=args.budget)
-        for nest in nests
-        for m in cache_sizes
-    ]
+    if not args.bounds:
+        parser.error("--bounds is required with a statement")
+    bound_axes: dict[str, tuple[int, ...]] = {}
+    for piece in args.bounds.split(","):
+        if "=" not in piece:
+            raise ParseError(f"bad bounds entry {piece!r}; expected name=values")
+        name, _, value = piece.partition("=")
+        bound_axes[name.strip()] = tuple(_parse_choices(value, "--bounds"))
+    return SweepRequest(
+        cache_sizes=cache_sizes, statement=args.statement,
+        bound_axes=tuple(bound_axes.items()), budget=args.budget,
+    ).validate()
 
 
 def _run_stats(argv: Sequence[str]) -> int:
@@ -740,28 +743,15 @@ def main(argv: Sequence[str] | None = None) -> int:
                          "drop the statement/--problem/--sweep arguments")
         return _run_kind("batch", args, lambda: _batch_requests_from_file(args.batch))
     if args.sweep:
-        return _run_kind("batch", args, lambda: _sweep_requests_from_args(args, parser))
+        return _run_kind("sweep", args, lambda: _sweep_from_args(args, parser))
 
     cache_words = _single_cache_words(args, parser)
     try:
-        if args.problem:
-            sizes = tuple(int(s) for s in args.sizes.split(",")) if args.sizes else None
-            nest = build_problem(args.problem, sizes)
-        elif args.statement:
-            if not args.bounds:
-                parser.error("--bounds is required with a statement")
-            nest = parse_nest(args.statement, _parse_bounds(args.bounds))
-        else:
-            parser.error("give a statement or --problem")
-            return 2  # unreachable; parser.error raises
-    except ParseError as exc:
+        nest = _nest_from_args(args, parser)
+        analysis = _session().analysis(nest, cache_words, budget=args.budget)
+    except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except TypeError as exc:
-        print(f"error: bad --sizes for problem: {exc}", file=sys.stderr)
-        return 2
-
-    analysis = _session().analysis(nest, cache_words, budget=args.budget)
     print(analysis.summary())
 
     if args.piecewise:

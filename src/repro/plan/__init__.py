@@ -1,4 +1,4 @@
-"""Batched tiling-plan service (paper §7's compiler-pass use case, at scale).
+"""The tiling-plan cache (paper §7's compiler-pass use case, at scale).
 
 A *plan* is the answer a compiler or autotuner wants from the paper's
 machinery: the optimal tile, its exponent, and the communication lower
@@ -10,20 +10,17 @@ simplex per call is what this package does:
   canonical structure (the LP depends only on the projection pattern);
 * :class:`Planner` memoises one multiparametric solve per structure (an
   in-memory LRU with an optional sharded on-disk plan store) and
-  substitutes bounds and cache size at lookup time, exactly;
-* :func:`plan_batch` serves request lists through one planner and
-  returns the results in request order.
+  substitutes bounds and cache size at lookup time, exactly.
+
+Ordered request lists and size x cache grids go through one planner via
+:meth:`repro.api.Session.batch` and :meth:`repro.api.Session.sweep`.
 """
 
-from .batch import plan_batch, sweep_requests
-from .planner import HierarchyPlan, Planner, PlannerStats, PlanRequest, TilePlan
+from .planner import HierarchyPlan, Planner, PlannerStats, TilePlan
 
 __all__ = [
     "HierarchyPlan",
     "Planner",
     "PlannerStats",
-    "PlanRequest",
     "TilePlan",
-    "plan_batch",
-    "sweep_requests",
 ]

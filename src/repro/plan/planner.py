@@ -62,7 +62,7 @@ from ..util import deadline as _deadline
 from ..util.rationals import log_ratio, pow_fraction
 from ..util.sharedstore import SharedPlanStore
 
-__all__ = ["PlanRequest", "TilePlan", "HierarchyPlan", "Planner", "PlannerStats"]
+__all__ = ["TilePlan", "HierarchyPlan", "Planner", "PlannerStats"]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -83,31 +83,6 @@ _FLOAT_MARGIN = 1e-7
 _MAPS_PER_PIECE = 8
 
 _log = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True)
-class PlanRequest:
-    """One query: a nest, a cache size, and a budget convention."""
-
-    nest: LoopNest
-    cache_words: int
-    budget: str = "per-array"
-
-    def to_json(self) -> dict:
-        """JSON-safe dict; lossless inverse of :meth:`from_json`."""
-        return {
-            "nest": self.nest.to_json(),
-            "cache_words": self.cache_words,
-            "budget": self.budget,
-        }
-
-    @classmethod
-    def from_json(cls, blob: dict) -> "PlanRequest":
-        return cls(
-            nest=LoopNest.from_json(blob["nest"]),
-            cache_words=int(blob["cache_words"]),
-            budget=str(blob.get("budget", "per-array")),
-        )
 
 
 @dataclass(frozen=True)
@@ -752,11 +727,6 @@ class Planner:
         structure, _ = self._structure(canon)
         betas = self._betas(nest.bounds, cache_words)
         return self._value_at(structure, canon.to_canonical(tuple(betas)))
-
-    def plan_request(self, request: PlanRequest, include_bound: bool = True) -> TilePlan:
-        return self.plan(
-            request.nest, request.cache_words, request.budget, include_bound=include_bound
-        )
 
     def plan_hierarchy(
         self,

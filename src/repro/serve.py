@@ -1013,9 +1013,11 @@ class ServiceServer:
 
     def _answer_list(self, row: RequestKind, blob: dict) -> tuple[int, dict]:
         if row.kind == "sweep":
-            requests = row.request.from_json(blob, row.kind).expand()
-            if len(requests) > MAX_BATCH_REQUESTS:
+            sweep = row.request.from_json(blob, row.kind)
+            # Refuse an oversized grid before building any of its nests.
+            if sweep.grid_size() > MAX_BATCH_REQUESTS:
                 raise RequestError(f"sweep grid exceeds {MAX_BATCH_REQUESTS} requests")
+            requests = sweep.expand()
         else:
             entries = blob.get("requests")
             if not isinstance(entries, list):

@@ -4,7 +4,7 @@ Covers the schema-v1 contract — every request and result type
 round-trips losslessly through JSON (Fractions as exact ``"p/q"``
 strings, property-tested) — and the session semantics: warm repeats hit
 the plan cache, ``repro.analyze`` routes through the default session,
-and the raw plan engine stays warning-free.
+and ``Session.batch``/``sweep`` stay the only analyze-list path.
 """
 
 import doctest
@@ -32,7 +32,7 @@ from repro.core.duality import theorem3_certificate
 from repro.core.tiling import solve_tiling
 from repro.core.verify import verify_analysis
 from repro.library.problems import catalog, matmul, mttkrp, nbody
-from repro.plan import Planner, PlanRequest
+from repro.plan import Planner
 
 SETTINGS = settings(max_examples=25, deadline=None)
 
@@ -206,7 +206,7 @@ class TestRequestRoundTrips:
             make()
 
 
-# -- the lossless TilePlan / PlanRequest satellites ---------------------------
+# -- the lossless TilePlan round trips ----------------------------------------
 
 
 class TestPlanRoundTrips:
@@ -233,12 +233,6 @@ class TestPlanRoundTrips:
         assert plan.lower_bound is None
         back = repro.TilePlan.from_json(json.loads(json.dumps(plan.to_json())))
         assert back == plan
-
-    @SETTINGS
-    @given(b1=bounds_st, b2=bounds_st, m=cache_st)
-    def test_plan_request_roundtrip_property(self, b1, b2, m):
-        req = PlanRequest(nest=nbody(b1, b2), cache_words=m, budget="aggregate")
-        assert PlanRequest.from_json(json.loads(json.dumps(req.to_json()))) == req
 
     def test_nest_json_rejects_malformed(self):
         with pytest.raises(repro.LoopNestError):
@@ -269,7 +263,6 @@ class TestSession:
         nest = nbody(64, 64)
         results = [
             session.analyze(AnalyzeRequest(nest=nest, cache_words=64)),
-            session.analyze(PlanRequest(nest=nest, cache_words=64)),
             session.analyze(nest, cache_words=64),
             session.analyze((nest, 64)),
         ]
@@ -432,6 +425,15 @@ class TestAnalysisBundleParity:
         sol = Session().tiling(nbody(4, 4), 1)
         assert sol.tile.blocks == (1, 1) and sol.exponent == 0
 
+    @pytest.mark.parametrize("cache_words", [0, 1])
+    def test_degenerate_cache_analysis_is_refused(self, cache_words):
+        # The bound and certificate are undefined below M = 2, so the
+        # planner's domain check is the answer, not an arithmetic error.
+        with pytest.raises(ValueError, match="planning needs cache_words >= 2"):
+            repro.analyze(nbody(4, 4), cache_words)
+        with pytest.raises(ValueError, match="planning needs cache_words >= 2"):
+            Session().lower_bound(nbody(4, 4), cache_words)
+
 
 class TestPlannerCertificate:
     def test_matches_lp_certificate_across_catalog(self):
@@ -470,13 +472,12 @@ class TestDeprecatedShims:
         assert not hasattr(repro, "plan_batch") and "plan_batch" not in repro.__all__
         assert not hasattr(repro, "sweep_requests") and "sweep_requests" not in repro.__all__
 
-    def test_engine_functions_do_not_warn(self):
-        import warnings as w
-
-        with w.catch_warnings():
-            w.simplefilter("error", DeprecationWarning)
-            repro.plan.plan_batch([(matmul(16, 16, 16), 64)])
-            repro.plan.sweep_requests(nbody, [(8,), (8,)], [64])
+    def test_plan_engine_duplicates_are_gone(self):
+        # Session.batch/sweep are the one analyze-list path.
+        for name in ("plan_batch", "sweep_requests", "PlanRequest"):
+            assert not hasattr(repro.plan, name) and name not in repro.plan.__all__
+        assert "PlanRequest" not in repro.__all__
+        assert not hasattr(repro.Planner, "plan_request")
 
 
 class TestDocstrings:

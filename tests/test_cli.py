@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.api import SCHEMA_VERSION
+from repro.api import SCHEMA_VERSION, Session, SweepRequest
 from repro.cli import build_serve_parser, main
 from repro.util.sharedstore import SharedPlanStore
 
@@ -82,6 +82,22 @@ class TestCLI:
     def test_bad_sizes_arity(self, capsys):
         rc = main(["--problem", "matmul", "--sizes", "4,4", "-M", "64"])
         assert rc == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--problem", "matmul", "--sizes", "a,b,c", "-M", "64"],
+            ["--problem", "matmul", "--sizes", "8,8,8", "-M", "0"],
+            ["--problem", "matmul", "--sizes", "8,8,8", "-M", "-5"],
+            ["--problem", "matmul", "--sizes", "8,8,8", "-M", "1"],
+            ["--problem", "matmul", "--sizes", "0,8,8", "-M", "64"],
+        ],
+        ids=["non-int-sizes", "M=0", "M=-5", "M=1", "zero-size"],
+    )
+    def test_bad_values_are_usage_errors(self, capsys, argv):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
 
     def test_missing_inputs(self):
         with pytest.raises(SystemExit):
@@ -196,6 +212,29 @@ class TestBatchCLI:
         assert rc == 0
         lines = self._lines(capsys)
         assert [ln["payload"]["bounds"] for ln in lines] == [[16, 32], [64, 32]]
+
+    @pytest.mark.parametrize(
+        "argv, sweep",
+        [
+            (
+                ["--problem", "matmul", "--sizes", "64:128,64,8:16", "-M", "256:1024"],
+                SweepRequest(cache_sizes=(256, 1024), problem="matmul",
+                             size_axes=((64, 128), (64,), (8, 16))),
+            ),
+            (
+                ["F[i] += P[i] * Q[j]", "--bounds", "i=16:64,j=32", "-M", "64",
+                 "--budget", "aggregate"],
+                SweepRequest(cache_sizes=(64,), statement="F[i] += P[i] * Q[j]",
+                             bound_axes=(("i", (16, 64)), ("j", (32,))),
+                             budget="aggregate"),
+            ),
+        ],
+        ids=["problem", "statement"],
+    )
+    def test_sweep_payloads_match_session_sweep(self, capsys, argv, sweep):
+        assert main([*argv, "--sweep"]) == 0
+        cli = [line["payload"] for line in self._lines(capsys)]
+        assert cli == [result.payload for result in Session().sweep(sweep)]
 
     def test_plan_cache_persists(self, capsys, tmp_path):
         store = tmp_path / "plans"

@@ -3,8 +3,8 @@
 The planner's guard (primal feasibility + strong duality against the
 cached piecewise value function) is what lets it skip the simplex; the
 tests here pin that guarantee across the catalog, budgets, cache sizes,
-disguised structures, plan-store round-trips, eviction, the batch
-engine, and the batch CLI.
+disguised structures, plan-store round-trips, eviction, ``Session.batch``,
+and the batch CLI.
 """
 
 import json
@@ -14,12 +14,13 @@ from fractions import Fraction
 import pytest
 
 import repro
+from repro.api import AnalyzeRequest, RequestError, Session
 from repro.cli import main
 from repro.core.bounds import communication_lower_bound, tile_exponent
 from repro.core.tiling import solve_tiling
 from repro.core.verify import check_tile
 from repro.library.problems import catalog, matmul, mttkrp, nbody
-from repro.plan import Planner, PlanRequest, TilePlan, plan_batch, sweep_requests
+from repro.plan import Planner, TilePlan
 
 CATALOG = catalog()
 
@@ -201,39 +202,36 @@ class TestCacheMechanics:
 
 
 class TestPlanBatch:
+    """``Session.batch``: one planner, request order, every tuple spelling."""
+
     def test_ordered_results_and_tuple_requests(self):
         reqs = [
             (matmul(64, 64, 64), 4096),
-            PlanRequest(nest=CATALOG["nbody"], cache_words=1024),
+            AnalyzeRequest(nest=CATALOG["nbody"], cache_words=1024),
             (mttkrp(32, 32, 32, 8), 4096, "aggregate"),
         ]
-        plans = plan_batch(reqs)
+        plans = [result.detail for result in Session().batch(reqs)]
         assert [p.nest.name for p in plans] == ["matmul", "nbody", "mttkrp"]
         for plan in plans:
             assert_plan_matches_solver(plan, plan.nest, plan.cache_words, plan.budget)
 
     def test_warm_batch_never_resolves_structures(self):
-        planner = Planner()
+        session = Session()
         reqs = [(matmul(2**i, 64, 64), 4096) for i in range(4, 10)]
-        plan_batch(reqs, planner=planner)
-        solves = planner.stats.structure_solves
-        plan_batch(reqs, planner=planner)
-        assert planner.stats.structure_solves == solves == 1
+        session.batch(reqs)
+        solves = session.planner.stats.structure_solves
+        results = session.batch(reqs)
+        assert session.planner.stats.structure_solves == solves == 1
+        assert all(result.cache_hit for result in results)
 
     def test_empty_batch(self):
-        assert plan_batch([]) == []
+        assert Session().batch([]) == []
 
     def test_bad_request_tuples_rejected(self):
-        with pytest.raises(TypeError):
-            plan_batch([CATALOG["matmul"]])
-        with pytest.raises(TypeError):
-            plan_batch([(CATALOG["matmul"], 64, "per-array", "extra")])
-
-    def test_sweep_requests_ordering(self):
-        reqs = sweep_requests(matmul, [[64, 128], [64], [16]], [256, 1024])
-        assert len(reqs) == 4
-        assert [r.nest.bounds[0] for r in reqs] == [64, 64, 128, 128]
-        assert [r.cache_words for r in reqs] == [256, 1024, 256, 1024]
+        with pytest.raises(RequestError):
+            Session().batch([CATALOG["matmul"]])
+        with pytest.raises(RequestError):
+            Session().batch([(CATALOG["matmul"], 64, "per-array", "extra")])
 
 
 class TestBatchCLI:

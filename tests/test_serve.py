@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.api import SCHEMA_VERSION, Session
+from repro.api import SCHEMA_VERSION, Session, SweepRequest
 from repro.serve import MAX_BATCH_REQUESTS, make_server
 
 GOLDEN = json.loads((Path(__file__).parent / "golden" / "analyze_payloads.json").read_text())
@@ -184,6 +184,21 @@ class TestBatchAndSweep:
     def test_batch_requires_list(self, service):
         status, body = _post(service, "/v1/batch", {"requests": "nope"})
         assert status == 400 and body["kind"] == "error"
+
+    def test_sweep_size_guard_refuses_before_expanding(self, service, monkeypatch):
+        expanded = []
+        monkeypatch.setattr(
+            SweepRequest, "expand", lambda self: expanded.append(self) or []
+        )
+        axis = list(range(1, 451))  # 450 x 450 = 202,500 requests
+        status, body = _post(
+            service,
+            "/v1/sweep",
+            {"problem": "matvec", "size_axes": [axis, axis], "cache_sizes": [64]},
+        )
+        assert status == 400
+        assert f"sweep grid exceeds {MAX_BATCH_REQUESTS}" in body["payload"]["error"]
+        assert expanded == []
 
     def test_batch_size_guard(self, service):
         entries = [{"problem": "matmul", "cache_words": 64}] * (MAX_BATCH_REQUESTS + 1)
