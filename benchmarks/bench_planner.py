@@ -239,7 +239,7 @@ def test_e17_warm_novel_queries_per_second(table, smoke):
     used: set[int] = set(_POW2 + _ODD)
     n_queries = 60 if smoke else 240
     session = Session()
-    # Warm structures and primal maps on a separate novel sample.
+    # Warm structures and warm-start bases on a separate novel sample.
     session.batch(_novel_workload(rng, n_queries, used))
     before = session.stats.as_dict()
     passes = 5 if smoke else 3

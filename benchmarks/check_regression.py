@@ -64,7 +64,7 @@ GATED_METRICS = (
     ("BENCH_planner.json", "planner.speedup_engine_vs_solve_tiling",
      ("speedup_engine_vs_solve_tiling",)),
     # Cold: a fresh planner's first query on every distinct catalog
-    # structure (the multiparametric solve, primal LP and bound).
+    # structure (the multiparametric solve, primal recovery and bound).
     ("BENCH_planner.json", "planner.cold_structures_per_second",
      ("cold_structures", "structures_per_second")),
     # Warm and cold separately: a warm/cold ratio would fall, and trip

@@ -234,17 +234,22 @@ class SweepRequest:
                 f"choices: {', '.join(sorted(CATALOG_BUILDERS))}",
             )
             _require(bool(self.size_axes), "a problem sweep needs 'size_axes'")
+            _require(self.bound_axes is None, "a problem sweep takes 'size_axes' only")
         else:
             _require(bool(self.bound_axes), "a statement sweep needs 'bound_axes'")
+            _require(self.size_axes is None, "a statement sweep takes 'bound_axes' only")
+        for axis in self._axes():
+            _require(bool(axis), "every sweep axis needs at least one value")
         return self
+
+    def _axes(self) -> list[tuple[int, ...]]:
+        if self.problem is not None:
+            return list(self.size_axes)
+        return [choices for _, choices in self.bound_axes]
 
     def grid_size(self) -> int:
         """How many requests :meth:`expand` yields, counted from the axes."""
-        if self.problem is not None:
-            axes = self.size_axes
-        else:
-            axes = [choices for _, choices in self.bound_axes]
-        return len(self.cache_sizes) * math.prod(len(axis) for axis in axes)
+        return len(self.cache_sizes) * math.prod(len(axis) for axis in self._axes())
 
     def expand(self) -> list[AnalyzeRequest]:
         """Materialise the grid as ordered :class:`AnalyzeRequest` items."""
@@ -290,6 +295,10 @@ class SweepRequest:
         def build():
             size_axes = blob.get("size_axes")
             bound_axes = blob.get("bound_axes")
+            _require(
+                bound_axes is None or isinstance(bound_axes, Mapping),
+                f"{where}: 'bound_axes' must map loop names to lists of bounds",
+            )
             return cls(
                 cache_sizes=tuple(int(m) for m in blob["cache_sizes"]),
                 problem=str(blob["problem"]) if "problem" in blob else None,
@@ -304,7 +313,7 @@ class SweepRequest:
                         (str(name), tuple(int(v) for v in choices))
                         for name, choices in bound_axes.items()
                     )
-                    if isinstance(bound_axes, Mapping)
+                    if bound_axes is not None
                     else None
                 ),
                 budget=str(blob.get("budget", "per-array")),

@@ -114,8 +114,12 @@ class PiecewiseValueFunction:
     def evaluate_with_piece(self, betas: Sequence[Fraction]) -> tuple[Fraction, int]:
         """``(f(beta), index of the attaining piece)`` in one pass.
 
-        The plan cache keys its per-piece primal maps on the returned
-        index, so both values are needed together on every lookup.
+        The plan cache keys its per-piece MRU list of dual-simplex bases
+        on the returned index (:mod:`repro.core.lexdual`), so both values
+        are needed together on every lookup.  On a tie between pieces
+        the index only picks which warm starts are tried first: the
+        served vertex is the lexicographically smallest optimum either
+        way.
         """
         best_value: Fraction | None = None
         best_idx = 0

@@ -13,14 +13,19 @@ canonical structure, then answer every query on that structure by
 evaluating finitely many affine pieces.
 
 Recovering the *primal* solution (the ``lambda_i`` the integer tile is
-built from) reuses a second multiparametric fact: within one piece's
-critical region the optimal vertex is an affine function of ``beta``.
-The planner derives that affine map lazily — from the tight-constraint
-set of one exact LP solve the first time a piece is hit — and guards
-every reuse with an exact feasibility + strong-duality check (primal
-feasible and objective equal to the dual value certifies optimality).
-A failed guard falls back to the exact LP, so warm answers are *always*
-certified optimal; the guard never trusts the cache.
+built from) follows one rule: the planner serves the lexicographically
+smallest optimal ``lambda`` in canonical loop order — among the optimal
+``lambda``, the smallest ``lambda_1``, then the smallest ``lambda_2``,
+and so on.  :mod:`repro.core.lexdual` computes it with a warm-started
+bounded-variable dual simplex whose tableau never involves ``beta``.
+Each piece keeps a short MRU list of final bases; one that is primal
+feasible at ``beta`` answers with no pivot, and otherwise the routine
+pivots from the front one.  Every basis is lex-dual feasible and the
+lexicographic optimum is unique, so the cache changes speed only —
+never the answer, whatever the planner saw before.  Every vertex is
+still checked exactly (primal feasible and objective equal to the dual
+value certifies optimality), and a failed check falls back to the
+exact LP; the guard never trusts the cache.
 
 Everything is exact Fraction arithmetic except a float pre-pass that
 shortlists candidate minimal pieces (error ~1e-13 against a 1e-7
@@ -37,6 +42,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Sequence
 
+from ..core import lexdual
 from ..core.bounds import CommunicationLowerBound, lower_bound_from_k_hat
 from ..core.canonical import CanonicalForm, Canonicalization, canonicalize
 from ..core.duality import (
@@ -65,7 +71,6 @@ from ..util.sharedstore import SharedPlanStore
 __all__ = ["TilePlan", "HierarchyPlan", "Planner", "PlannerStats"]
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 #: The mpLP prune (:func:`repro.core.mplp.parametric_tile_exponent`)
 #: certifies the piece set only on ``beta_i <= 64`` — i.e. every bound
@@ -78,9 +83,10 @@ _BETA_CAP = Fraction(64)
 #: minimum is re-evaluated exactly.
 _FLOAT_MARGIN = 1e-7
 
-#: Optimal-basis maps remembered per piece (multiple bases meet inside
-#: one critical region's closure; a short MRU list absorbs the churn).
-_MAPS_PER_PIECE = 8
+#: Final dual-simplex bases remembered per piece (several optimal bases
+#: meet inside one critical region's closure; a short MRU list absorbs
+#: the churn).
+_BASES_PER_PIECE = 8
 
 _log = logging.getLogger(__name__)
 
@@ -91,9 +97,12 @@ class TilePlan:
 
     ``exponent``/``lambdas`` match :class:`~repro.core.tiling.TilingSolution`
     semantics exactly (w.r.t. the effective cache when
-    ``budget="aggregate"``); when the LP has multiple optimal vertices
-    the plan may pick a different one than the simplex would, but the
-    exponent and the guard-certified optimality are identical.
+    ``budget="aggregate"``).  When LP (5.1) has several optimal
+    vertices, ``lambdas`` is the lexicographically smallest optimum in
+    canonical loop order (:mod:`repro.core.lexdual`), whatever queries
+    the planner answered before; the simplex behind
+    :func:`~repro.core.tiling.solve_tiling` may pick another vertex of
+    the same exponent.
     """
 
     nest: LoopNest
@@ -248,30 +257,16 @@ class PlannerStats:
 
 
 @dataclass
-class _PrimalMap:
-    """``lambda(beta) = constant + matrix @ beta`` (exact, canonical order)."""
-
-    constant: tuple[Fraction, ...]
-    matrix: tuple[tuple[Fraction, ...], ...]
-
-    def apply(self, betas: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        return tuple(
-            c + sum((m * b for m, b in zip(row, betas) if m), start=_ZERO)
-            for c, row in zip(self.constant, self.matrix)
-        )
-
-
-@dataclass
 class _StructurePlan:
     """Everything cached for one canonical structure."""
 
     form: CanonicalForm
     pvf: PiecewiseValueFunction
     float_pieces: list[tuple[float, tuple[float, ...]]] = field(default_factory=list)
-    #: piece index -> candidate primal maps, most recently successful
+    #: piece index -> final dual-simplex bases, most recently served
     #: first.  A piece can meet several optimal bases across its region
     #: (and on region boundaries), so a short list beats a single slot.
-    primal_maps: dict[int, list[_PrimalMap]] = field(default_factory=dict)
+    bases: dict[int, list[lexdual.Basis]] = field(default_factory=dict)
     nest: LoopNest = None  # canonical nest (generic names, dummy bounds)
 
     def __post_init__(self) -> None:
@@ -301,80 +296,6 @@ def _piece_from_json(blob: dict) -> AffinePiece:
     )
 
 
-def _solve_affine_system(
-    a_rows: list[list[Fraction]],
-    b_rows: list[list[Fraction]],
-    n_unknowns: int,
-) -> list[list[Fraction]] | None:
-    """Solve ``A x = B(beta)`` for affine unknowns by Gauss-Jordan.
-
-    ``b_rows[i]`` is the affine vector ``(const, coeff_beta_0, ...)`` of
-    equation i's right-hand side.  Returns one affine vector per
-    unknown, or None when the system does not determine all unknowns
-    (degenerate optimum that is not a simple vertex — callers then skip
-    map caching and keep using the exact LP).
-    """
-    m = len(a_rows)
-    a = [row[:] for row in a_rows]
-    b = [row[:] for row in b_rows]
-    for col in range(n_unknowns):
-        pivot_row = next((i for i in range(col, m) if a[i][col] != 0), None)
-        if pivot_row is None:
-            return None
-        a[col], a[pivot_row] = a[pivot_row], a[col]
-        b[col], b[pivot_row] = b[pivot_row], b[col]
-        pivot = a[col][col]
-        if pivot != 1:
-            a[col] = [v / pivot for v in a[col]]
-            b[col] = [v / pivot for v in b[col]]
-        for i in range(m):
-            if i != col and a[i][col] != 0:
-                factor = a[i][col]
-                a[i] = [v - factor * w for v, w in zip(a[i], a[col])]
-                b[i] = [v - factor * w for v, w in zip(b[i], b[col])]
-    return b[:n_unknowns]
-
-
-def _derive_primal_map(
-    rows: Sequence[tuple[int, ...]],
-    depth: int,
-    lambdas: Sequence[Fraction],
-    betas: Sequence[Fraction],
-) -> _PrimalMap | None:
-    """Affine map reproducing the vertex ``lambdas`` from its tight set.
-
-    Classifies each coordinate as pinned-at-zero, pinned-at-beta, or
-    free; free coordinates are solved from the tight array constraints.
-    The map is only a *candidate* — every later application is verified
-    exactly before use.
-    """
-    at_zero = [lambdas[i] == 0 for i in range(depth)]
-    at_beta = [not at_zero[i] and lambdas[i] == betas[i] for i in range(depth)]
-    free = [i for i in range(depth) if not at_zero[i] and not at_beta[i]]
-    constant = [_ZERO] * depth
-    matrix = [[_ZERO] * depth for _ in range(depth)]
-    for i in range(depth):
-        if at_beta[i]:
-            matrix[i][i] = _ONE
-    if free:
-        tight = [row for row in rows if row and sum((lambdas[i] for i in row), start=_ZERO) == 1]
-        a_rows = [[_ONE if i in row else _ZERO for i in free] for row in tight]
-        b_rows = []
-        for row in tight:
-            affine = [_ONE] + [_ZERO] * depth
-            for i in row:
-                if at_beta[i]:
-                    affine[1 + i] -= _ONE
-            b_rows.append(affine)
-        solved = _solve_affine_system(a_rows, b_rows, len(free))
-        if solved is None:
-            return None
-        for pos, i in enumerate(free):
-            constant[i] = solved[pos][0]
-            matrix[i] = solved[pos][1:]
-    return _PrimalMap(constant=tuple(constant), matrix=tuple(tuple(r) for r in matrix))
-
-
 class Planner:
     """LRU-cached, optionally persistent, exact tiling-plan service.
 
@@ -388,8 +309,9 @@ class Planner:
         directory path for one) — the planner's only persistence.
         Structure misses consult the store before solving, and each
         fresh solve is written back as it completes, so concurrent
-        planner processes and later runs warm each other.  Primal maps
-        are derived data and are not persisted.
+        planner processes and later runs warm each other.  Warm-start
+        bases are derived data and are not persisted: they change the
+        speed of primal recovery, never its answer.
     """
 
     def __init__(
@@ -565,9 +487,8 @@ class Planner:
     def _lp_solve(
         self, structure: _StructurePlan, betas: Sequence[Fraction]
     ) -> tuple[Fraction, tuple[Fraction, ...]]:
-        """Authoritative exact LP solve on the canonical structure."""
-        with self._lock:
-            self.stats.primal_lp_solves += 1
+        """Exact LP solve: the fallback when the certificate rejects a vertex."""
+        _log.warning("primal certificate failed on %s; solving the LP", structure.form.key())
         nest = structure.nest
         lp = build_tiling_lp(nest, cache_words=2, betas=list(betas))
         report = lp.solve(backend="exact")
@@ -596,21 +517,32 @@ class Planner:
                 return False
         return True
 
+    def _pivot(
+        self, structure: _StructurePlan, start: lexdual.Basis | None, betas: Sequence[Fraction]
+    ) -> tuple[tuple[Fraction, ...], lexdual.Basis]:
+        """Lex-min optimal vertex by dual simplex from ``start`` (None: the slack basis)."""
+        with self._lock:
+            self.stats.primal_lp_solves += 1
+        if start is None:
+            start = lexdual.slack_basis(structure.form.depth, structure.form.rows)
+        return lexdual.lex_min_vertex(start, betas)
+
     def _value_at(self, structure: _StructurePlan, betas: Sequence[Fraction]) -> Fraction:
         """Exact ``f(beta)`` only — honouring the ``_BETA_CAP`` guard."""
         if any(b > _BETA_CAP for b in betas):
-            value, _ = self._lp_solve(structure, betas)
-            return value
+            return self._solve_canonical(structure, betas)[0]
         value, _ = self._evaluate(structure, betas)
         return value
 
     def _solve_canonical(
         self, structure: _StructurePlan, betas: Sequence[Fraction]
     ) -> tuple[Fraction, tuple[Fraction, ...]]:
-        """Exact optimum + vertex at ``betas``, via cache or LP fallback."""
+        """Exact optimum + lex-min optimal vertex at ``betas``."""
         if any(b > _BETA_CAP for b in betas):
-            # Outside the certified domain of the pruned piece set.
-            return self._lp_solve(structure, betas)
+            # Outside the certified domain of the pruned piece set: the
+            # dual simplex runs to optimality from the slack basis.
+            lambdas, _ = self._pivot(structure, None, betas)
+            return sum(lambdas, _ZERO), lambdas
         value, piece_idx = self._evaluate(structure, betas)
         return self._primal_for_piece(structure, betas, value, piece_idx)
 
@@ -621,27 +553,26 @@ class Planner:
         value: Fraction,
         piece_idx: int,
     ) -> tuple[Fraction, tuple[Fraction, ...]]:
-        """Guarded primal recovery for a known minimizing piece."""
-        maps = structure.primal_maps.get(piece_idx, ())
-        for pos, cached_map in enumerate(maps):
-            lambdas = cached_map.apply(betas)
-            if self._verified(structure, betas, lambdas, value):
+        """The lex-min optimal vertex for a known minimizing piece, certified."""
+        bases = structure.bases.get(piece_idx, [])
+        for basis in tuple(bases):
+            lambdas = lexdual.vertex_at(basis, betas)
+            if lambdas is not None and self._verified(structure, betas, lambdas, value):
                 with self._lock:
-                    if pos:
-                        maps.insert(0, maps.pop(pos))
+                    if bases and bases[0] is not basis and basis in bases:
+                        bases.remove(basis)
+                        bases.insert(0, basis)
                     self.stats.primal_map_hits += 1
                 return value, lambdas
-        value_lp, lambdas = self._lp_solve(structure, betas)
-        candidate = _derive_primal_map(structure.form.rows, structure.form.depth, lambdas, betas)
-        if candidate is not None and self._verified(
-            structure, betas, candidate.apply(betas), value_lp
-        ):
-            with self._lock:
-                maps = structure.primal_maps.setdefault(piece_idx, [])
-                if candidate not in maps:
-                    maps.insert(0, candidate)
-                    del maps[_MAPS_PER_PIECE:]
-        return value_lp, lambdas
+        lambdas, basis = self._pivot(structure, bases[0] if bases else None, betas)
+        if not self._verified(structure, betas, lambdas, value):
+            return self._lp_solve(structure, betas)
+        with self._lock:
+            bases = structure.bases.setdefault(piece_idx, [])
+            if basis not in bases:
+                bases.insert(0, basis)
+                del bases[_BASES_PER_PIECE:]
+        return value, lambdas
 
     # -- the service entry points -------------------------------------------
 
@@ -778,8 +709,8 @@ class Planner:
         Every cached piece *is* a vertex ``(zeta, s)`` of the
         beta-independent dual polyhedron (see :mod:`repro.core.mplp`), so
         the minimizing piece at ``beta`` doubles as the optimal dual
-        multipliers there; the primal vertex comes from the same
-        guarded primal-map machinery :meth:`plan` uses.  The result is
+        multipliers there; the primal vertex is the same certified
+        lex-min vertex :meth:`plan` serves.  The result is
         exactly what :func:`repro.core.duality.theorem3_certificate`
         would compute — strong duality holds by construction — at cache
         cost instead of two exact simplex runs.

@@ -199,6 +199,16 @@ class TestRequestRoundTrips:
                                  cache_sizes=(64,)).validate(),
             lambda: DistributedRequest(nest=matmul(4, 4, 4), processors=0,
                                        memory_words=64).validate(),
+            lambda: SweepRequest(problem="matmul", size_axes=((), (8,), (8,)),
+                                 cache_sizes=(64,)).validate(),
+            lambda: SweepRequest(problem="matmul", size_axes=((8,), (8,), (8,)),
+                                 bound_axes=(("i", (8,)),), cache_sizes=(64,)).validate(),
+            lambda: SweepRequest(statement="F[i] += P[i] * Q[j]",
+                                 bound_axes=(("i", (8,)), ("j", ())),
+                                 cache_sizes=(64,)).validate(),
+            lambda: SweepRequest(statement="F[i] += P[i] * Q[j]",
+                                 bound_axes=(("i", (8,)), ("j", (8,))),
+                                 size_axes=((8,),), cache_sizes=(64,)).validate(),
         ],
     )
     def test_validation_rejects(self, make):

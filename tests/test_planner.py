@@ -9,6 +9,8 @@ and the batch CLI.
 
 import json
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -16,11 +18,15 @@ import pytest
 import repro
 from repro.api import AnalyzeRequest, RequestError, Session
 from repro.cli import main
+from repro.core import lexdual
 from repro.core.bounds import communication_lower_bound, tile_exponent
+from repro.core.fraction_lp import solve_lp
+from repro.core.loopnest import ArrayRef, LoopNest
 from repro.core.tiling import solve_tiling
 from repro.core.verify import check_tile
 from repro.library.problems import catalog, matmul, mttkrp, nbody
 from repro.plan import Planner, TilePlan
+from repro.plan.planner import _BETA_CAP
 
 CATALOG = catalog()
 
@@ -199,6 +205,224 @@ class TestCacheMechanics:
         entry = json.loads(shard.read_text())["entries"][key]
         constants = {piece["c"] for piece in entry["pieces"]}
         assert "3/2" in constants  # the classical sqrt(M) piece, exactly
+
+
+# ---------------------------------------------------------------------------
+# The served vertex: the lexicographically smallest optimum, whatever the
+# planner saw before.
+
+
+def _lex_min_oracle(depth, rows, betas):
+    """Sequential exact LPs: max sum(lambda), then min lambda_1, fix it, ..."""
+    rows = [row for row in rows if row]
+    a_ub = [[1 if i in row else 0 for i in range(depth)] for row in rows]
+    b_ub = [1] * len(rows)
+    bounds = [(0, beta) for beta in betas]
+    best = solve_lp([1] * depth, a_ub, b_ub, bounds=bounds, sense="max").objective
+    a_eq, b_eq = [[1] * depth], [best]
+    for k in range(depth):
+        unit = [1 if i == k else 0 for i in range(depth)]
+        low = solve_lp(unit, a_ub, b_ub, a_eq, b_eq, bounds=bounds).objective
+        a_eq.append(unit)
+        b_eq.append(low)
+    return tuple(b_eq[1:])
+
+
+def _structure_nest(supports, bounds, name="structure"):
+    return LoopNest(
+        name=name,
+        loops=tuple(f"x{i}" for i in range(len(bounds))),
+        bounds=tuple(bounds),
+        arrays=tuple(ArrayRef(f"A{j}", s, is_output=(j == 0)) for j, s in enumerate(supports)),
+    )
+
+
+def _random_supports(rng, depth, arrays):
+    while True:
+        supports = [
+            tuple(sorted(rng.sample(range(depth), rng.randint(0, depth)))) for _ in range(arrays)
+        ]
+        if len(set().union(*supports)) == depth:
+            return supports
+
+
+#: LP (5.1) with a non-unique optimum on which a fresh planner used to
+#: serve lambda_2 = 405183559364307/831913371846980; the lex-min optimum
+#: has lambda_2 = 0.
+DEGENERATE_SUPPORTS = ((0, 1, 3, 4), (2,), (2, 3, 5), (0, 1, 2, 5))
+DEGENERATE_BOUNDS = (869, 60, 41, 46, 26, 342)
+
+
+def _mixed_queries(seed, count):
+    """(nest, cache_words, budget): catalog problems and depth-4-6 random structures."""
+    rng = random.Random(seed)
+    names = sorted(CATALOG)
+    structures = [_random_supports(rng, rng.randint(4, 6), rng.randint(3, 5)) for _ in range(12)]
+    structures.append(DEGENERATE_SUPPORTS)
+    out = []
+    for k in range(count):
+        if k % 2:
+            base = CATALOG[rng.choice(names)]
+        else:
+            supports = rng.choice(structures)
+            base = _structure_nest(supports, (2,) * (1 + max(max(s, default=0) for s in supports)))
+        bounds = [round(2 ** rng.uniform(0, 12)) for _ in range(base.depth)]
+        out.append((
+            base.with_bounds(bounds),
+            rng.choice([16, 256, 2048, 2**16]),
+            rng.choice(["per-array", "aggregate"]),
+        ))
+    return out
+
+
+def _no_lp_fallback(monkeypatch):
+    def fail(self, structure, betas):
+        raise AssertionError(f"primal certificate failed on {structure.form.key()}")
+
+    monkeypatch.setattr(Planner, "_lp_solve", fail)
+
+
+def _payload(plan):
+    blob = plan.to_json()
+    del blob["cache_hit"]
+    return json.dumps(blob, sort_keys=True)
+
+
+class TestLexMinVertex:
+    def assert_lex_min(self, planner, nest, cache_words, budget="per-array"):
+        plan = planner.plan(nest, cache_words, budget=budget)
+        effective = (
+            cache_words if budget == "per-array" else max(1, cache_words // nest.num_arrays)
+        )
+        if effective < 2:
+            return
+        canon = planner.canonicalization(nest)
+        canon_betas = canon.to_canonical(tuple(nest.betas(effective)))
+        expected = _lex_min_oracle(nest.depth, canon.form.rows, canon_betas)
+        assert plan.lambdas == canon.from_canonical(expected), (nest, cache_words, budget)
+
+    def test_degenerate_optimum_serves_the_lex_min_vertex(self, monkeypatch):
+        _no_lp_fallback(monkeypatch)
+        nest = _structure_nest(DEGENERATE_SUPPORTS, DEGENERATE_BOUNDS)
+        planner = Planner()
+        plan = planner.plan(nest, 2048)
+        assert plan.lambdas[2] == 0
+        self.assert_lex_min(planner, nest, 2048)
+        # A different-bounds query on the structure first changes nothing.
+        warm = Planner()
+        warm.plan(nest.with_bounds((12, 3000, 7, 900, 64, 5)), 2048)
+        assert _payload(warm.plan(nest, 2048)) == _payload(plan)
+
+    @pytest.mark.parametrize("name", sorted(CATALOG), ids=str)
+    def test_catalog_matches_the_oracle(self, name, monkeypatch):
+        _no_lp_fallback(monkeypatch)
+        rng = random.Random(f"lex-min/{name}")
+        nest = CATALOG[name]
+        planner = Planner()
+        for _ in range(8):
+            bounds = [round(2 ** rng.uniform(0, 13)) for _ in range(nest.depth)]
+            cache_words = rng.choice([16, 256, 2048, 2**16])
+            budget = rng.choice(["per-array", "aggregate"])
+            self.assert_lex_min(planner, nest.with_bounds(bounds), cache_words, budget)
+
+    def test_random_structures_match_the_oracle(self, monkeypatch):
+        _no_lp_fallback(monkeypatch)
+        rng = random.Random("lex-min/random")
+        planner = Planner()
+        for _ in range(30):
+            depth = rng.randint(4, 6)
+            supports = _random_supports(rng, depth, rng.randint(3, 5))
+            for _ in range(3):
+                bounds = [round(2 ** rng.uniform(0, 12)) for _ in range(depth)]
+                nest = _structure_nest(supports, bounds)
+                self.assert_lex_min(planner, nest, rng.choice([16, 256, 2048, 2**16]))
+
+    def test_beyond_beta_cap_follows_the_same_rule(self):
+        nest = _structure_nest(DEGENERATE_SUPPORTS, (3**70,) + DEGENERATE_BOUNDS[1:])
+        planner = Planner()
+        assert max(nest.betas(3)) > _BETA_CAP
+        self.assert_lex_min(planner, nest, 3)
+
+    def test_answers_do_not_depend_on_history(self, tmp_path, monkeypatch):
+        _no_lp_fallback(monkeypatch)
+        queries = _mixed_queries("lex-min/replay", 200)
+        fresh = [_payload(Planner().plan(*query)) for query in queries]
+        shared = Planner(shared_store=tmp_path)
+        rng = random.Random("lex-min/orders")
+        for _ in range(3):
+            order = list(range(len(queries)))
+            rng.shuffle(order)
+            for idx in order:
+                assert _payload(shared.plan(*queries[idx])) == fresh[idx], queries[idx]
+        restarted = Planner(shared_store=tmp_path)
+        for query, expected in zip(queries, fresh):
+            assert _payload(restarted.plan(*query)) == expected, query
+        assert restarted.stats.structure_solves == 0
+
+    def test_every_warm_start_reaches_the_oracle_vertex(self):
+        # Small-denominator betas make ties and degenerate vertices common.
+        rng = random.Random("lex-min/dual-simplex")
+        for _ in range(60):
+            depth = rng.randint(1, 6)
+            rows = [
+                tuple(sorted(rng.sample(range(depth), rng.randint(0, depth))))
+                for _ in range(rng.randint(1, 5))
+            ]
+            start = lexdual.slack_basis(depth, rows)
+            for _ in range(3):
+                betas = [
+                    Fraction(rng.randint(0, 12), rng.choice([1, 2, 3, 4])) for _ in range(depth)
+                ]
+                lambdas, start = lexdual.lex_min_vertex(start, betas)
+                assert lambdas == _lex_min_oracle(depth, rows, betas), (rows, betas)
+
+    def test_threads_sharing_the_basis_lists_serve_fresh_answers(self, monkeypatch):
+        _no_lp_fallback(monkeypatch)
+        queries = [q for q in _mixed_queries("lex-min/threads", 120) if q[0].depth >= 4]
+        fresh = [_payload(Planner().plan(*query)) for query in queries]
+        shared = Planner(capacity=4)  # evictions re-solve structures mid-run
+        wrong: list = []
+
+        def worker(offset: int) -> None:
+            for k in range(len(queries)):
+                idx = (k * 7 + offset) % len(queries)
+                try:
+                    if _payload(shared.plan(*queries[idx])) != fresh[idx]:
+                        wrong.append(queries[idx])
+                except Exception as exc:  # reported by the assertion below
+                    wrong.append(exc)
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+        assert shared.stats.queries == 6 * len(queries)
+
+    def test_cached_bases_answer_without_pivots(self):
+        planner = Planner()
+        nest = CATALOG["matmul"]
+        planner.plan(nest, 2**14)
+        assert planner.stats.primal_lp_solves == 1
+        planner.plan(nest.with_bounds((1000, 900, 800)), 2**14)
+        assert planner.stats.primal_map_hits == 1
+        assert planner.stats.primal_lp_solves == 1
+
+    def test_a_failed_certificate_falls_back_to_the_lp(self, monkeypatch):
+        nest = _structure_nest(DEGENERATE_SUPPORTS, DEGENERATE_BOUNDS)
+        expected = Planner().plan(nest, 2048)
+        planner = Planner()
+        monkeypatch.setattr(Planner, "_verified", lambda *args: False)
+        plan = planner.plan(nest, 2048)
+        assert plan.exponent == expected.exponent
+        assert sum(plan.lambdas) == plan.exponent
 
 
 class TestPlanBatch:

@@ -181,6 +181,22 @@ class TestBatchAndSweep:
         assert body["kind"] == "sweep" and body["count"] == 4
         assert {r["payload"]["cache_words"] for r in body["results"]} == {64, 256}
 
+    @pytest.mark.parametrize(
+        "body",
+        [
+            {"problem": "matmul", "size_axes": [[], [8], [8]], "cache_sizes": [64]},
+            {"problem": "matmul", "size_axes": [[8], [8], [8]], "bound_axes": {"i": [8]},
+             "cache_sizes": [64]},
+            {"statement": "F[i] += P[i] * Q[j]", "bound_axes": {"i": [8], "j": [8]},
+             "size_axes": [[8]], "cache_sizes": [64]},
+            {"statement": "F[i] += P[i] * Q[j]", "bound_axes": [["i", [8]]],
+             "cache_sizes": [64]},
+        ],
+    )
+    def test_sweep_rejects_empty_and_stray_axes(self, service, body):
+        status, reply = _post(service, "/v1/sweep", body)
+        assert status == 400 and reply["kind"] == "error"
+
     def test_batch_requires_list(self, service):
         status, body = _post(service, "/v1/batch", {"requests": "nope"})
         assert status == 400 and body["kind"] == "error"
