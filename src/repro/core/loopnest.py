@@ -18,6 +18,7 @@ kernels) consumes this type.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import prod
@@ -26,6 +27,10 @@ from typing import Iterator, Mapping, Sequence
 from ..util.rationals import beta_vector
 
 __all__ = ["ArrayRef", "LoopNest", "LoopNestError"]
+
+#: Largest iteration count a nest may have: the lower bound and every
+#: traffic figure are floats, and a larger count overflows them.
+MAX_OPERATIONS = int(sys.float_info.max)
 
 
 class LoopNestError(ValueError):
@@ -80,6 +85,7 @@ class LoopNest:
     Invariants enforced at construction:
 
     * loop names unique, bounds positive integers;
+    * at most ``MAX_OPERATIONS`` (~1.8e308) iterations in all;
     * array supports reference valid loop positions;
     * every loop appears in the support of at least one array (the
       paper's w.l.o.g. assumption after [CDK+13] — a loop touching no
@@ -100,6 +106,12 @@ class LoopNest:
             raise LoopNestError("a loop nest needs at least one array access")
         if any(b < 1 for b in self.bounds):
             raise LoopNestError(f"loop bounds must be >= 1, got {self.bounds}")
+        operations = prod(self.bounds)
+        if operations > MAX_OPERATIONS:
+            raise LoopNestError(
+                f"the nest has about 2**{operations.bit_length() - 1} iterations, "
+                "more than a float can hold (~1.8e308)"
+            )
         names = [a.name for a in self.arrays]
         if len(set(names)) != len(names):
             raise LoopNestError(f"duplicate array names {names}")

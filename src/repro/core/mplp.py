@@ -111,25 +111,6 @@ class PiecewiseValueFunction:
         """The (first) piece attaining the minimum at ``beta``."""
         return min(self.pieces, key=lambda p: p.evaluate(betas))
 
-    def evaluate_with_piece(self, betas: Sequence[Fraction]) -> tuple[Fraction, int]:
-        """``(f(beta), index of the attaining piece)`` in one pass.
-
-        The plan cache keys its per-piece MRU list of dual-simplex bases
-        on the returned index (:mod:`repro.core.lexdual`), so both values
-        are needed together on every lookup.  On a tie between pieces
-        the index only picks which warm starts are tried first: the
-        served vertex is the lexicographically smallest optimum either
-        way.
-        """
-        best_value: Fraction | None = None
-        best_idx = 0
-        for idx, piece in enumerate(self.pieces):
-            value = piece.evaluate(betas)
-            if best_value is None or value < best_value:
-                best_value, best_idx = value, idx
-        assert best_value is not None
-        return best_value, best_idx
-
     def tile_size(self, cache_words: int, betas: Sequence[Fraction]) -> float:
         """``M**f(beta)``: the optimal tile cardinality."""
         return pow_fraction(cache_words, self.evaluate(betas))
@@ -360,11 +341,19 @@ def _is_essential(piece_idx: int, pieces: list[AffinePiece], d: int) -> bool:
     LP over (beta, delta): maximise delta subject to
     ``other(beta) - piece(beta) >= delta`` for every other piece and
     ``beta >= 0``.  The piece is essential iff the optimum is positive
-    (an unbounded LP also certifies essentiality).  We additionally cap
-    ``beta <= BIG`` to keep the LP bounded without affecting the sign
-    of the answer (pieces differing only beyond astronomically large
-    beta have no modelling value: ``beta_i <= 64`` covers every cache
-    size ``M >= 2`` and bound ``L_i <= 2**64``).
+    (an unbounded LP also certifies essentiality).  The box
+    ``beta <= BIG`` keeps the LP bounded without changing the answer.
+    In LP (5.1) every array containing loop ``i`` caps ``lambda_i`` at
+    1, so ``f`` depends on ``beta_i`` only through ``min(beta_i, 1)``
+    (a loop no array contains adds ``beta_i`` to every piece alike, so
+    its ``beta_i`` can be set to 0).
+    Where ``beta_i > 1``, ``f`` is flat in ``beta_i``, so every piece
+    minimal there has ``zeta_i = 0``.  Moving each such ``beta_i`` into
+    ``(1, 2]`` therefore keeps a strictly minimal piece strictly
+    minimal: a piece tied with it at the new point would be minimal
+    there, hence flat in the moved coordinates, hence tied at the old
+    point too.  A piece strictly minimal anywhere on ``beta >= 0`` is
+    thus strictly minimal somewhere in ``[0, 2]^d``, inside the box.
     """
     BIG = Fraction(64)
     piece = pieces[piece_idx]
@@ -390,7 +379,10 @@ def _is_essential(piece_idx: int, pieces: list[AffinePiece], d: int) -> bool:
 
 def _essential_pieces(pieces: list[AffinePiece], d: int) -> list[AffinePiece]:
     """The pieces of ``pieces`` (distinct) that are strictly minimal
-    somewhere on ``[0, 64]^d``, in input order.
+    somewhere on ``[0, 64]^d``, in input order.  These are exactly the
+    pieces strictly minimal somewhere on the whole orthant ``beta >= 0``
+    (see :func:`_is_essential`), so their lower envelope is ``f`` at
+    every ``beta >= 0``.
 
     :func:`_screen` decides almost every piece; each undecided one costs
     one exact LP (:func:`_is_essential`) against the full list, through

@@ -69,8 +69,8 @@ def split_bands(program: Program) -> tuple[Band, ...]:
     Consecutive statements fuse while their loop *sets* are equal; each
     band's merged accesses are halo-normalized and lowered to one
     :class:`LoopNest` over the shared bounds.  Raises
-    :class:`FrontendError` if a band is not projective after
-    normalization (e.g. a loop no array uses).
+    :class:`FrontendError` if a band is not a valid :class:`LoopNest`
+    after normalization (e.g. a loop no array uses).
     """
     groups: list[list[int]] = []
     current_loops: frozenset[str] | None = None
@@ -113,7 +113,7 @@ def split_bands(program: Program) -> tuple[Band, ...]:
         except LoopNestError as exc:
             raise FrontendError(
                 f"program {program.name!r}: band {band_index} "
-                f"(statements {members}) is not projective: {exc}"
+                f"(statements {members}) is not a valid loop nest: {exc}"
             ) from exc
         bands.append(
             Band(

@@ -65,21 +65,6 @@ class CacheStats:
     def miss_rate(self) -> float:
         return self.misses / self.accesses if self.accesses else 0.0
 
-    def words_moved(self, line_words: int = 1, count_writebacks: bool = True) -> int:
-        """Total slow-memory traffic in words (fills + optional write-backs)."""
-        moved = self.misses * line_words
-        if count_writebacks:
-            moved += self.writebacks * line_words
-        return moved
-
-    def merged_with(self, other: "CacheStats") -> "CacheStats":
-        return CacheStats(
-            accesses=self.accesses + other.accesses,
-            hits=self.hits + other.hits,
-            misses=self.misses + other.misses,
-            writebacks=self.writebacks + other.writebacks,
-        )
-
 
 class FullyAssociativeLRU:
     """Fully-associative LRU cache over line addresses.

@@ -27,6 +27,14 @@ still checked exactly (primal feasible and objective equal to the dual
 value certifies optimality), and a failed check falls back to the
 exact LP; the guard never trusts the cache.
 
+The cached pieces serve every ``beta >= 0``, however large.  In LP
+(5.1) every array containing loop ``i`` gives ``lambda_i <= 1``, so
+``f`` depends on ``beta_i`` only through ``min(beta_i, 1)``.  A piece
+strictly minimal at some ``beta`` therefore has no slope in any
+``beta_i > 1`` there, and stays strictly minimal when each such
+``beta_i`` drops into ``(1, 2]``: the prune over ``[0, 64]^d`` keeps
+exactly the pieces that are strictly minimal somewhere on the orthant.
+
 Everything is exact Fraction arithmetic except a float pre-pass that
 shortlists candidate minimal pieces (error ~1e-13 against a 1e-7
 acceptance margin, then settled exactly).
@@ -45,12 +53,7 @@ from typing import Sequence
 from ..core import lexdual
 from ..core.bounds import CommunicationLowerBound, lower_bound_from_k_hat
 from ..core.canonical import CanonicalForm, Canonicalization, canonicalize
-from ..core.duality import (
-    DualSolution,
-    Theorem3Certificate,
-    _complementary_slackness,
-    theorem3_certificate,
-)
+from ..core.duality import DualSolution, Theorem3Certificate, _complementary_slackness
 from ..core.hierarchy import MemoryHierarchy
 from ..core.integer import nested_integer_repair
 from ..core.loopnest import LoopNest
@@ -72,14 +75,9 @@ __all__ = ["TilePlan", "HierarchyPlan", "Planner", "PlannerStats"]
 
 _ZERO = Fraction(0)
 
-#: The mpLP prune (:func:`repro.core.mplp.parametric_tile_exponent`)
-#: certifies the piece set only on ``beta_i <= 64`` — i.e. every bound
-#: up to ``M**64``.  Queries beyond that (practically unreachable) skip
-#: the cache and solve the LP directly.
-_BETA_CAP = Fraction(64)
-
-#: Float shortlist margin: piece values are O(100) at most, so float
-#: evaluation error is ~1e-12; any piece within this margin of the float
+#: Float shortlist margin, relative to the float minimum.  A piece's
+#: value is a sum of nonnegative terms, so its float evaluation is off
+#: by ~1e-15 of its size; any piece within this margin of the float
 #: minimum is re-evaluated exactly.
 _FLOAT_MARGIN = 1e-7
 
@@ -371,13 +369,13 @@ class Planner:
         with self._lock:
             return list(self._structures)
 
-    def _adopt_shared(self, key: str) -> bool:
+    def _adopt_shared(self, key: str) -> _StructurePlan | None:
         """Pull one structure from the shared store into the LRU, if present there."""
         if self.shared_store is None:
-            return False
+            return None
         pieces_json = self.shared_store.get(key)
         if pieces_json is None:
-            return False
+            return None
         try:
             form = CanonicalForm.from_key(key)
             pieces = tuple(
@@ -391,13 +389,14 @@ class Planner:
             # A poisoned entry must degrade to a fresh solve, never an
             # unstructured failure; invalidation stats live in the store.
             _log.warning("discarding malformed shared-store entry %r", key)
-            return False
+            return None
+        plan = _StructurePlan(form=form, pvf=pvf)
         with self._lock:
-            self._structures[key] = _StructurePlan(form=form, pvf=pvf)
+            self._structures[key] = plan
             self._structures.move_to_end(key)
             self._evict()
             self.stats.shared_hits += 1
-        return True
+        return plan
 
     def _evict(self) -> None:
         while len(self._structures) > self.capacity:
@@ -432,11 +431,9 @@ class Planner:
             while not event.wait(0.02):
                 _deadline.checkpoint("structure-coalesce")
         try:
-            if self._adopt_shared(key):
-                with self._lock:
-                    plan = self._structures.get(key)
-                if plan is not None:
-                    return plan, True
+            plan = self._adopt_shared(key)
+            if plan is not None:
+                return plan, True
             # Solve outside the lock: multiparametric solves are the slow part.
             pvf = parametric_tile_exponent(canon.form.to_nest())
             plan = _StructurePlan(form=canon.form, pvf=pvf)
@@ -527,25 +524,6 @@ class Planner:
             start = lexdual.slack_basis(structure.form.depth, structure.form.rows)
         return lexdual.lex_min_vertex(start, betas)
 
-    def _value_at(self, structure: _StructurePlan, betas: Sequence[Fraction]) -> Fraction:
-        """Exact ``f(beta)`` only — honouring the ``_BETA_CAP`` guard."""
-        if any(b > _BETA_CAP for b in betas):
-            return self._solve_canonical(structure, betas)[0]
-        value, _ = self._evaluate(structure, betas)
-        return value
-
-    def _solve_canonical(
-        self, structure: _StructurePlan, betas: Sequence[Fraction]
-    ) -> tuple[Fraction, tuple[Fraction, ...]]:
-        """Exact optimum + lex-min optimal vertex at ``betas``."""
-        if any(b > _BETA_CAP for b in betas):
-            # Outside the certified domain of the pruned piece set: the
-            # dual simplex runs to optimality from the slack basis.
-            lambdas, _ = self._pivot(structure, None, betas)
-            return sum(lambdas, _ZERO), lambdas
-        value, piece_idx = self._evaluate(structure, betas)
-        return self._primal_for_piece(structure, betas, value, piece_idx)
-
     def _primal_for_piece(
         self,
         structure: _StructurePlan,
@@ -574,6 +552,34 @@ class Planner:
                 del bases[_BASES_PER_PIECE:]
         return value, lambdas
 
+    # -- the one lookup every entry point shares ----------------------------
+
+    def _point(
+        self, canon: Canonicalization, structure: _StructurePlan, bounds: Sequence[int], base: int
+    ) -> tuple[tuple[Fraction, ...], Fraction, int]:
+        """``(canonical betas, f(beta), argmin piece index)`` at cache size ``base``."""
+        betas = canon.to_canonical(tuple(self._betas(bounds, base)))
+        value, piece_idx = self._evaluate(structure, betas)
+        return betas, value, piece_idx
+
+    def _lookup(
+        self, nest: LoopNest, cache_words: int
+    ) -> tuple[Canonicalization, _StructurePlan, bool, tuple[tuple[Fraction, ...], Fraction, int]]:
+        """One query: ``(canon, structure, cache hit, point at cache_words)``.
+
+        Counts the query, canonicalizes, probes the structure cache once
+        and evaluates the pieces (:meth:`_point`).  Every entry point
+        runs exactly one lookup, so ``stats.queries`` equals
+        ``structure_hits + structure_solves + shared_hits``.
+        """
+        if cache_words < 2:
+            raise ValueError("planning needs cache_words >= 2")
+        with self._lock:
+            self.stats.queries += 1
+        canon = self.canonicalization(nest)
+        structure, hit = self._structure(canon)
+        return canon, structure, hit, self._point(canon, structure, nest.bounds, cache_words)
+
     # -- the service entry points -------------------------------------------
 
     def plan(
@@ -589,8 +595,6 @@ class Planner:
         is always the paper-model (per-array) bound at the full cache
         size, matching :func:`repro.analyze`.
         """
-        if cache_words < 2:
-            raise ValueError("planning needs cache_words >= 2")
         if budget not in BUDGETS:
             raise ValueError(f"unknown budget {budget!r}; expected one of {BUDGETS}")
         if budget == "aggregate" and cache_words < nest.num_arrays:
@@ -598,38 +602,25 @@ class Planner:
                 f"aggregate budget needs cache_words >= {nest.num_arrays} "
                 f"(one word per array), got {cache_words}"
             )
-        with self._lock:
-            self.stats.queries += 1
-        canon = self.canonicalization(nest)
-        structure, hit = self._structure(canon)
+        canon, structure, hit, full = self._lookup(nest, cache_words)
+        effective_m, point = cache_words, full
+        if budget == "aggregate":
+            effective_m, point = cache_words // nest.num_arrays, None
+            if effective_m >= 2:
+                point = self._point(canon, structure, nest.bounds, effective_m)
         depth = nest.depth
-        effective_m = (
-            cache_words if budget == "per-array" else max(1, cache_words // nest.num_arrays)
-        )
-        full_betas: list[Fraction] | None = None
-        if effective_m < 2:
+        if point is None:
             # Degenerate effective cache: unit tile (see solve_tiling).
             exponent = _ZERO
             lambdas = tuple(_ZERO for _ in range(depth))
             fractional = tuple(1.0 for _ in range(depth))
             tile = TileShape(nest=nest, blocks=tuple(1 for _ in range(depth)))
         else:
-            betas = self._betas(nest.bounds, effective_m)
-            if effective_m == cache_words:
-                full_betas = betas
-            canon_betas = canon.to_canonical(tuple(betas))
-            exponent, canon_lambdas = self._solve_canonical(structure, canon_betas)
+            exponent, canon_lambdas = self._primal_for_piece(structure, *point)
             lambdas = canon.from_canonical(canon_lambdas)
             fractional = tuple(pow_fraction(effective_m, lam) for lam in lambdas)
             tile = integer_repair(nest, fractional, cache_words, budget)
-        lower_bound = None
-        if include_bound:
-            if full_betas is not None:
-                k_hat = exponent
-            else:
-                betas = self._betas(nest.bounds, cache_words)
-                k_hat = self._value_at(structure, canon.to_canonical(tuple(betas)))
-            lower_bound = lower_bound_from_k_hat(nest, cache_words, k_hat)
+        lower_bound = lower_bound_from_k_hat(nest, cache_words, full[1]) if include_bound else None
         return TilePlan(
             nest=nest,
             cache_words=cache_words,
@@ -650,14 +641,8 @@ class Planner:
         no primal recovery, no integer repair, no LP on a warm
         structure.  Equal to :func:`repro.core.bounds.tile_exponent`.
         """
-        if cache_words < 2:
-            raise ValueError("planning needs cache_words >= 2")
-        with self._lock:
-            self.stats.queries += 1
-        canon = self.canonicalization(nest)
-        structure, _ = self._structure(canon)
-        betas = self._betas(nest.bounds, cache_words)
-        return self._value_at(structure, canon.to_canonical(tuple(betas)))
+        _, _, _, (_, value, _) = self._lookup(nest, cache_words)
+        return value
 
     def plan_hierarchy(
         self,
@@ -710,23 +695,15 @@ class Planner:
         beta-independent dual polyhedron (see :mod:`repro.core.mplp`), so
         the minimizing piece at ``beta`` doubles as the optimal dual
         multipliers there; the primal vertex is the same certified
-        lex-min vertex :meth:`plan` serves.  The result is
-        exactly what :func:`repro.core.duality.theorem3_certificate`
-        would compute — strong duality holds by construction — at cache
+        lex-min vertex :meth:`plan` serves, at every ``beta >= 0``.  The
+        exponent is what :func:`repro.core.duality.theorem3_certificate`
+        certifies — strong duality holds by construction — at cache
         cost instead of two exact simplex runs.
         """
-        if cache_words < 2:
-            raise ValueError("certificates need cache_words >= 2")
-        betas = tuple(self._betas(nest.bounds, cache_words))
-        if any(b > _BETA_CAP for b in betas):
-            # Outside the certified domain of the pruned piece set.
-            return theorem3_certificate(nest, cache_words, betas=betas)
-        canon = self.canonicalization(nest)
-        structure, _ = self._structure(canon)
-        canon_betas = canon.to_canonical(betas)
-        value, piece_idx = self._evaluate(structure, canon_betas)
+        canon, structure, _, (canon_betas, value, piece_idx) = self._lookup(nest, cache_words)
         value, canon_lambdas = self._primal_for_piece(structure, canon_betas, value, piece_idx)
         piece = structure.pvf.pieces[piece_idx]
+        betas = canon.from_canonical(canon_betas)
         lambdas = canon.from_canonical(canon_lambdas)
         zeta = canon.from_canonical(piece.source_zeta)
         s = [_ZERO] * nest.num_arrays

@@ -99,6 +99,13 @@ class TestCLI:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
 
+    def test_iteration_count_past_the_float_range_is_a_usage_error(self, capsys):
+        assert main(["--problem", "matmul", "--sizes", f"{10**305},40,1", "-M", "64"]) == 0
+        capsys.readouterr()
+        assert main(["--problem", "matmul", "--sizes", f"{10**307},40,1", "-M", "64"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "more than a float can hold" in err
+
     def test_missing_inputs(self):
         with pytest.raises(SystemExit):
             main(["-M", "64"])

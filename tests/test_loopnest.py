@@ -68,6 +68,11 @@ class TestLoopNestValidation:
         with pytest.raises(LoopNestError):
             LoopNest("bad", ("i",), (4,), (ArrayRef("A", (0, 1)),))
 
+    def test_iteration_count_must_fit_a_float(self):
+        assert matmul(10**305, 40, 1).num_operations == 4 * 10**306
+        with pytest.raises(LoopNestError, match="more than a float can hold"):
+            matmul(10**307, 40, 1)
+
     def test_uncovered_loop_rejected(self):
         # Loop j appears in no support -> paper's w.l.o.g. assumption violated.
         with pytest.raises(LoopNestError, match="appear in no array"):

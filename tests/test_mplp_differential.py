@@ -94,8 +94,8 @@ def _reference_dual_vertices(nest: LoopNest) -> list:
     return vertices
 
 
-def _reference_is_essential(piece_idx: int, pieces: list, d: int) -> bool:
-    BIG = Fraction(64)
+def _reference_is_essential(piece_idx: int, pieces: list, d: int, big=Fraction(64)) -> bool:
+    """Is the piece strictly minimal somewhere on ``[0, big]^d`` (``big=None``: the orthant)?"""
     piece = pieces[piece_idx]
     c = [_ZERO] * d + [-_ONE]
     A_ub, b_ub = [], []
@@ -104,7 +104,7 @@ def _reference_is_essential(piece_idx: int, pieces: list, d: int) -> bool:
             continue
         A_ub.append([pc - oc for pc, oc in zip(piece.coeffs, other.coeffs)] + [_ONE])
         b_ub.append(other.constant - piece.constant)
-    bounds = [(0, BIG)] * d + [(None, None)]
+    bounds = [(0, big)] * d + [(None, None)]
     sol = solve_lp(c, A_ub, b_ub, bounds=bounds, sense="min")
     if sol.status == "unbounded" or not sol.is_optimal:
         return True
@@ -258,6 +258,30 @@ class TestAgainstOracle:
             bases += tuple(x) == vertex
         assert bases >= 10
         assert (vertex[:depth], vertex[depth:]) in mplp._dual_vertices(nest)
+
+
+def assert_pieces_serve_the_orthant(nest: LoopNest) -> None:
+    """The served pieces are the reference prune's over all of ``beta >= 0``."""
+    supports = tuple(tuple(a.support) for a in nest.arrays)
+    full = _oracle(supports, nest.depth)[1]
+    if len(full) < 2:
+        return
+    essential = [
+        p for idx, p in enumerate(full) if _reference_is_essential(idx, full, nest.depth, big=None)
+    ]
+    assert _as_tuples(parametric_tile_exponent(nest).pieces) == _as_tuples(essential)
+
+
+class TestPrunedPiecesServeTheOrthant:
+    """Pieces minimal only at large ``beta`` do not exist: the box prune is exact."""
+
+    @pytest.mark.parametrize("name", sorted(CATALOG))
+    def test_catalog_structure(self, name):
+        assert_pieces_serve_the_orthant(CATALOG[name])
+
+    @pytest.mark.parametrize("index", range(len(RANDOM)))
+    def test_random_structure(self, index):
+        assert_pieces_serve_the_orthant(RANDOM[index])
 
 
 @lru_cache(maxsize=None)

@@ -16,7 +16,7 @@ from fractions import Fraction
 import pytest
 
 import repro
-from repro.api import AnalyzeRequest, RequestError, Session
+from repro.api import AnalyzeRequest, DistributedRequest, RequestError, Session
 from repro.cli import main
 from repro.core import lexdual
 from repro.core.bounds import communication_lower_bound, tile_exponent
@@ -26,7 +26,6 @@ from repro.core.tiling import solve_tiling
 from repro.core.verify import check_tile
 from repro.library.problems import catalog, matmul, mttkrp, nbody
 from repro.plan import Planner, TilePlan
-from repro.plan.planner import _BETA_CAP
 
 CATALOG = catalog()
 
@@ -169,6 +168,33 @@ class TestPlannerParity:
             Planner().exponent(nest, 1)
 
 class TestCacheMechanics:
+    def test_every_lookup_counts_one_query_and_one_probe(self, tmp_path):
+        # plan, exponent and certificate each count one query, and each
+        # query probes the structure cache exactly once: a hit, a solve
+        # or an adoption from the shared store.
+        def balanced(stats):
+            probes = stats.structure_hits + stats.structure_solves + stats.shared_hits
+            return stats.queries == probes
+
+        session = Session(Planner(shared_store=tmp_path))
+        analyze = AnalyzeRequest(nest=matmul(64, 48, 32), cache_words=256, certificate=True)
+        for _ in range(2):
+            assert session.analyze(analyze).ok
+        stats = session.stats
+        assert (stats.queries, stats.structure_hits, stats.structure_solves) == (4, 3, 1)
+        assert session.distributed(
+            DistributedRequest(nest=nbody(300, 70), processors=6, memory_words=1000)
+        ).ok
+        assert session.analyze(AnalyzeRequest(nest=mttkrp(9, 8, 7, 6), cache_words=64)).ok
+        assert balanced(session.stats)
+
+        restarted = Session(Planner(shared_store=tmp_path))
+        assert restarted.analyze(analyze).ok
+        restarted.planner.exponent(nbody(30, 70), 100)
+        restarted.planner.plan(mttkrp(9, 8, 7, 6), 64, "aggregate")
+        assert restarted.stats.shared_hits == 3
+        assert balanced(restarted.stats)
+
     def test_lru_eviction_order(self):
         planner = Planner(capacity=2)
         planner.plan(matmul(8, 8, 8), 64)
@@ -337,11 +363,38 @@ class TestLexMinVertex:
                 nest = _structure_nest(supports, bounds)
                 self.assert_lex_min(planner, nest, rng.choice([16, 256, 2048, 2**16]))
 
-    def test_beyond_beta_cap_follows_the_same_rule(self):
-        nest = _structure_nest(DEGENERATE_SUPPORTS, (3**70,) + DEGENERATE_BOUNDS[1:])
+    def test_betas_beyond_the_prune_box_serve_one_vertex(self, monkeypatch):
+        # The pieces are pruned on [0, 64]^d and serve every beta >= 0:
+        # plan, exponent and certificate agree with the LPs beyond it.
+        _no_lp_fallback(monkeypatch)
         planner = Planner()
-        assert max(nest.betas(3)) > _BETA_CAP
-        self.assert_lex_min(planner, nest, 3)
+
+        def check(nest, cache_words):
+            assert max(nest.betas(cache_words)) > 64
+            self.assert_lex_min(planner, nest, cache_words)
+            plan = planner.plan(nest, cache_words)
+            cert = planner.certificate(nest, cache_words)
+            assert cert.tight and cert.primal_value == plan.exponent
+            assert cert.lambdas == plan.lambdas, (nest, cache_words)
+            assert planner.exponent(nest, cache_words) == tile_exponent(nest, cache_words)
+
+        check(_structure_nest(DEGENERATE_SUPPORTS, (3**70,) + DEGENERATE_BOUNDS[1:]), 3)
+        # A certificate that solved its own LP here carried
+        # lambda = (0, 0, 0, 0, 1); the plan serves (1, 0, 0, 0, 0).
+        check(
+            _structure_nest(
+                ((1,), (2, 3), (0, 1, 2, 3, 4), (0, 4), (1, 2, 3, 4)),
+                (521, 2694, 10**24 + 1, 3465, 2552),
+            ),
+            2,
+        )
+        rng = random.Random("lex-min/beyond-64")
+        for _ in range(20):
+            depth = rng.randint(2, 6)
+            supports = _random_supports(rng, depth, rng.randint(2, 5))
+            bounds = [round(2 ** rng.uniform(0, 12)) for _ in range(depth)]
+            bounds[rng.randrange(depth)] = rng.randint(2**65, 2**300)
+            check(_structure_nest(supports, bounds), 2)
 
     def test_answers_do_not_depend_on_history(self, tmp_path, monkeypatch):
         _no_lp_fallback(monkeypatch)

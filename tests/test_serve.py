@@ -7,6 +7,7 @@ comparisons shared with the CLI surface.
 """
 
 import json
+import math
 import threading
 import urllib.error
 import urllib.request
@@ -255,6 +256,35 @@ class TestErrorPayloads:
         status, body = _get(service, "/v2/analyze")
         assert status == 404 and body["kind"] == "error"
         assert body["payload"]["status"] == 404
+
+    @pytest.mark.parametrize("path", ["/v1/analyze", "/v1/distributed", "/v1/program"])
+    def test_iteration_count_past_the_float_range_is_a_400(self, service, path):
+        # 40 * 10**305 iterations still fit a float; 40 * 10**307 do not,
+        # and the lower bound's float figures would overflow.
+        def request(i):
+            return {
+                "/v1/analyze": {"problem": "matmul", "sizes": [i, 40, 1],
+                                "cache_words": 64, "certificate": True},
+                "/v1/distributed": {"problem": "matmul", "sizes": [i, 40, 1],
+                                    "processors": 8, "memory_words": 4096},
+                "/v1/program": {"einsum": "ik,kj->ij", "sizes": {"i": i, "k": 40, "j": 1},
+                                "cache_words": 128},
+            }[path]
+
+        status, fits = _post(service, path, request(10**305))
+        assert status == 200, fits
+
+        def floats(value):
+            if isinstance(value, dict):
+                return [f for v in value.values() for f in floats(v)]
+            if isinstance(value, list):
+                return [f for v in value for f in floats(v)]
+            return [value] if isinstance(value, float) else []
+
+        assert floats(fits["payload"]) and all(map(math.isfinite, floats(fits["payload"])))
+        status, body = _post(service, path, request(10**307))
+        assert status == 400 and body["kind"] == "error", body
+        assert "more than a float can hold" in body["payload"]["error"]
 
     @pytest.mark.parametrize(
         "path", ["/v1/analyze", "/v1/batch", "/v1/sweep", "/v1/simulate", "/v1/distributed"]
