@@ -1,7 +1,7 @@
 """``repro.api`` — the unified, versioned service façade.
 
 One coherent entry layer over the whole reproduction: typed request
-dataclasses, a :class:`Session` that owns the plan cache and engine
+dataclasses, a :class:`Session` that owns the plan cache and machine
 defaults, and a JSON-round-trippable :class:`Result` envelope tagged
 with ``schema_version``.  Every consumer — the ``repro-tile`` CLI, the
 HTTP service (:mod:`repro.serve`), benchmarks and examples — routes

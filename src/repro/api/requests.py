@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -58,6 +59,10 @@ MAX_TUNE_EVALUATIONS = 4096
 
 _POLICIES = ("lru", "belady", "direct")
 
+#: Largest cache or memory size a request may name: the bound, tile and
+#: traffic figures are also floats, and a larger size overflows them.
+MAX_CACHE_WORDS = int(sys.float_info.max)
+
 
 def _require(condition: bool, message: str) -> None:
     if not condition:
@@ -74,6 +79,15 @@ def _build_request(where: str, build):
         raise
     except (TypeError, ValueError) as exc:
         raise RequestError(f"{where}: {exc}") from exc
+
+
+def _check_size(name: str, value: int) -> None:
+    """A cache or memory size: at least 2 words, at most ``MAX_CACHE_WORDS``."""
+    _require(value >= 2, f"{name} must be >= 2, got {value}")
+    _require(
+        value <= MAX_CACHE_WORDS,
+        f"{name} is about 2**{value.bit_length() - 1}, more than a float can hold (~1.8e308)",
+    )
 
 
 def _check_budget(budget: str) -> None:
@@ -97,7 +111,7 @@ class AnalyzeRequest:
     certificate: bool = False
 
     def validate(self) -> "AnalyzeRequest":
-        _require(self.cache_words >= 2, f"cache_words must be >= 2, got {self.cache_words}")
+        _check_size("cache_words", self.cache_words)
         _check_budget(self.budget)
         if self.budget == "aggregate":
             _require(
@@ -148,7 +162,7 @@ class SimulateRequest:
     budget: str = "aggregate"
 
     def validate(self) -> "SimulateRequest":
-        _require(self.cache_words >= 2, f"cache_words must be >= 2, got {self.cache_words}")
+        _check_size("cache_words", self.cache_words)
         _check_budget(self.budget)
         _require(
             self.policy in _POLICIES, f"unknown policy {self.policy!r}; expected {_POLICIES}"
@@ -224,7 +238,7 @@ class SweepRequest:
         _check_budget(self.budget)
         _require(bool(self.cache_sizes), "sweep needs at least one cache size")
         for m in self.cache_sizes:
-            _require(m >= 2, f"cache sizes must be >= 2, got {m}")
+            _check_size("cache sizes", m)
         if (self.problem is None) == (self.statement is None):
             raise RequestError("sweep needs exactly one of 'problem' or 'statement'")
         if self.problem is not None:
@@ -345,7 +359,7 @@ class TuneRequest:
     capacities: tuple[int, ...] | None = None
 
     def validate(self) -> "TuneRequest":
-        _require(self.cache_words >= 2, f"cache_words must be >= 2, got {self.cache_words}")
+        _check_size("cache_words", self.cache_words)
         _check_budget(self.budget)
         if self.budget == "aggregate":
             _require(
@@ -366,7 +380,7 @@ class TuneRequest:
         if self.capacities is not None:
             _require(bool(self.capacities), "capacities must be omitted or non-empty")
             for c in self.capacities:
-                _require(c >= 2, f"capacities must be >= 2, got {c}")
+                _check_size("capacities", c)
         # Tuning simulates max_evaluations traces; guard each like simulate.
         accesses = trace_length(self.nest)
         _require(
@@ -431,7 +445,7 @@ class HierarchyRequest:
     def validate(self) -> "HierarchyRequest":
         _require(bool(self.capacities), "hierarchy needs at least one capacity")
         for c in self.capacities:
-            _require(c >= 2, f"capacities must be >= 2, got {c}")
+            _check_size("capacities", c)
         _require(
             all(a < b for a, b in zip(self.capacities, self.capacities[1:])),
             f"capacities must be strictly increasing, got {list(self.capacities)}",
@@ -510,7 +524,7 @@ class ProgramRequest:
     radius: int = 1
 
     def validate(self) -> "ProgramRequest":
-        _require(self.cache_words >= 2, f"cache_words must be >= 2, got {self.cache_words}")
+        _check_size("cache_words", self.cache_words)
         _check_budget(self.budget)
         _require(
             self.strategy in STRATEGIES,
@@ -609,7 +623,7 @@ class DistributedRequest:
 
     def validate(self) -> "DistributedRequest":
         _require(self.processors >= 1, f"processors must be >= 1, got {self.processors}")
-        _require(self.memory_words >= 2, f"memory_words must be >= 2, got {self.memory_words}")
+        _check_size("memory_words", self.memory_words)
         if self.grid is not None:
             _require(
                 len(self.grid) == self.nest.depth,

@@ -4,7 +4,7 @@ A :class:`Session` owns the machinery a stream of queries shares —
 
 * a :class:`~repro.plan.Planner` (the canonical-structure plan cache,
   optionally backed by the sharded plan store),
-* a trace-engine choice and machine-model defaults for simulation,
+* machine-model defaults for simulation,
 * a worker-count default for parallel tune-candidate evaluation —
 
 and exposes the typed entry points ``analyze``/``batch``/``sweep``/
@@ -119,7 +119,7 @@ def _degraded_meta(events: dict) -> dict | None:
 
 
 class Session:
-    """A service scope: plan cache + engine defaults + typed entry points.
+    """A service scope: plan cache + machine defaults + typed entry points.
 
     Parameters
     ----------
@@ -137,9 +137,6 @@ class Session:
         private planner (pass a pre-wired planner otherwise).
     line_words:
         Cache-line granularity for :meth:`simulate` (1 = paper model).
-    engine:
-        Trace engine for :meth:`simulate`: ``"batched"`` or
-        ``"reference"``.
     workers:
         Default worker-process count for tune-candidate evaluation in
         :meth:`tune`, :meth:`hierarchy` and :meth:`program` (None =
@@ -153,11 +150,8 @@ class Session:
         plan_capacity: int = 128,
         plan_cache=None,
         line_words: int = 1,
-        engine: str = "batched",
         workers: int | None = None,
     ):
-        if engine not in ("batched", "reference"):
-            raise ValueError(f"unknown engine {engine!r}")
         if line_words < 1:
             raise ValueError("line_words must be >= 1")
         if planner is not None and plan_cache is not None:
@@ -168,7 +162,6 @@ class Session:
             capacity=plan_capacity, shared_store=plan_cache
         )
         self.line_words = line_words
-        self.engine = engine
         self.workers = workers
         self._started = time.time()
 
@@ -356,7 +349,11 @@ class Session:
 
     @_traced
     def simulate(self, request: SimulateRequest, *, deadline_ms: float | None = None) -> Result:
-        """Trace-driven cache simulation; the ``/v1`` story's ground truth."""
+        """Trace-driven cache simulation; the ``/v1`` story's ground truth.
+
+        Always the batched trace engine; ``run_trace_simulation(...,
+        engine="reference")`` is the oracle the tests hold it to.
+        """
         return self._answer(
             "simulate", [request], deadline_ms, lambda events: [self._simulate_answer(request)]
         )[0]
@@ -373,16 +370,13 @@ class Session:
         line_words = request.line_words if request.line_words is not None else self.line_words
         machine = MachineModel(cache_words=request.cache_words, line_words=line_words)
         with span("simulation"):
-            report = run_trace_simulation(
-                request.nest, machine, tile=tile, policy=request.policy,
-                engine=self.engine,
-            )
+            report = run_trace_simulation(request.nest, machine, tile=tile, policy=request.policy)
         payload = {
             "nest": request.nest.to_json(),
             "cache_words": request.cache_words,
             "line_words": line_words,
             "policy": request.policy,
-            "engine": self.engine,
+            "engine": "batched",
             "tile": list(tile.blocks),
             "tile_planned": request.tile is None,
             "total_words": report.total_words,
@@ -567,7 +561,7 @@ class Session:
             payload={
                 "status": "ok",
                 "version": __version__,
-                "engine": self.engine,
+                "engine": "batched",
                 "structures_cached": len(self.planner.cached_keys()),
                 "planner_stats": stats,
                 "shared_cache": store.stats_dict() if store is not None else None,

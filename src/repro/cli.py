@@ -748,6 +748,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     cache_words = _single_cache_words(args, parser)
     try:
         nest = _nest_from_args(args, parser)
+        AnalyzeRequest(nest=nest, cache_words=cache_words, budget=args.budget).validate()
         analysis = _session().analysis(nest, cache_words, budget=args.budget)
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

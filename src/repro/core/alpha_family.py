@@ -109,7 +109,6 @@ def optimal_tile_family(
     nest: LoopNest,
     cache_words: int,
     betas: Sequence[Fraction] | None = None,
-    backend: str = "exact",
 ) -> OptimalTileFamily:
     """Enumerate every vertex of the tiling LP's optimal face.
 
@@ -124,7 +123,7 @@ def optimal_tile_family(
         betas = nest.betas(cache_words)
     betas = tuple(Fraction(b) for b in betas)
     lp = build_tiling_lp(nest, cache_words, betas=betas)
-    report = lp.solve(backend=backend)
+    report = lp.solve()
     if not report.is_optimal:  # pragma: no cover - always feasible/bounded
         raise RuntimeError(f"tiling LP unexpectedly {report.status}")
     optimum: Fraction = report.objective

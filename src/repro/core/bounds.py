@@ -89,12 +89,11 @@ def subset_exponent(
     cache_words: int,
     Q: Iterable[int],
     betas: Sequence[Fraction] | None = None,
-    backend: str = "exact",
 ) -> Fraction:
     """Tightest Theorem-2 tile-size exponent for the small-set ``Q``."""
     if betas is None:
         betas = nest.betas(cache_words)
-    report = build_subset_lp(nest, betas, Q).solve(backend=backend)
+    report = build_subset_lp(nest, betas, Q).solve()
     if not report.is_optimal:  # pragma: no cover - always feasible & bounded
         raise RuntimeError(f"subset LP unexpectedly {report.status}")
     return report.objective
@@ -150,14 +149,13 @@ def tile_exponent(
     nest: LoopNest,
     cache_words: int,
     betas: Sequence[Fraction] | None = None,
-    backend: str = "exact",
 ) -> Fraction:
     """The strongest (smallest) Theorem-2 exponent ``k_hat``.
 
     Equal to ``subset_exponent`` at ``Q = range(d)`` by monotonicity,
     and to the tiling-LP optimum by Theorem 3.
     """
-    return subset_exponent(nest, cache_words, range(nest.depth), betas=betas, backend=backend)
+    return subset_exponent(nest, cache_words, range(nest.depth), betas=betas)
 
 
 @dataclass(frozen=True)
@@ -253,10 +251,9 @@ def communication_lower_bound(
     nest: LoopNest,
     cache_words: int,
     betas: Sequence[Fraction] | None = None,
-    backend: str = "exact",
 ) -> CommunicationLowerBound:
     """Compute the full arbitrary-bound lower bound for ``nest``."""
     if cache_words < 1:
         raise ValueError("cache_words must be >= 1")
-    k_hat = tile_exponent(nest, cache_words, betas=betas, backend=backend)
+    k_hat = tile_exponent(nest, cache_words, betas=betas)
     return lower_bound_from_k_hat(nest, cache_words, k_hat)

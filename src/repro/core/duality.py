@@ -110,7 +110,6 @@ def theorem3_certificate(
     nest: LoopNest,
     cache_words: int,
     betas: Sequence[Fraction] | None = None,
-    backend: str = "exact",
 ) -> Theorem3Certificate:
     """Solve primal and dual exactly and verify Theorem 3 for ``nest``."""
     if betas is None:
@@ -118,9 +117,9 @@ def theorem3_certificate(
     betas = tuple(Fraction(b) for b in betas)
 
     primal = build_tiling_lp(nest, cache_words, betas=betas)
-    primal_report = primal.solve(backend=backend)
+    primal_report = primal.solve()
     dual = build_dual_lp(nest, cache_words, betas=betas)
-    dual_report = dual.solve(backend=backend)
+    dual_report = dual.solve()
     if not (primal_report.is_optimal and dual_report.is_optimal):  # pragma: no cover
         raise RuntimeError("tiling LP or its dual failed to solve")
 

@@ -110,9 +110,7 @@ def build_hbl_lp(nest: LoopNest, exclude: Iterable[int] = ()) -> LinearProgram:
     return lp
 
 
-def solve_hbl(
-    nest: LoopNest, exclude: Iterable[int] = (), backend: str = "exact"
-) -> HBLSolution:
+def solve_hbl(nest: LoopNest, exclude: Iterable[int] = ()) -> HBLSolution:
     """Solve the (row-deleted) HBL LP exactly and package the result.
 
     With all rows deleted the LP is unconstrained and the optimum is the
@@ -120,7 +118,7 @@ def solve_hbl(
     """
     excluded = tuple(sorted(set(exclude)))
     lp = build_hbl_lp(nest, excluded)
-    report: SolveReport = lp.solve(backend=backend)
+    report: SolveReport = lp.solve()
     if not report.is_optimal:  # pragma: no cover - the HBL LP is always feasible/bounded
         raise RuntimeError(f"HBL LP unexpectedly {report.status} for {nest.name}")
     s = tuple(report.values[svar(j, nest)] for j in range(nest.num_arrays))

@@ -298,7 +298,6 @@ def solve_tiling(
     cache_words: int,
     budget: str = "per-array",
     betas: Sequence[Fraction] | None = None,
-    backend: str = "exact",
 ) -> TilingSolution:
     """Solve LP (5.1) and return the exact vertex plus a repaired tile.
 
@@ -339,7 +338,7 @@ def solve_tiling(
     if betas is None:
         betas = nest.betas(effective_m)
     lp = build_tiling_lp(nest, effective_m, betas=betas)
-    report = lp.solve(backend=backend)
+    report = lp.solve()
     if not report.is_optimal:  # pragma: no cover - LP is always feasible & bounded
         raise RuntimeError(f"tiling LP unexpectedly {report.status}")
     lambdas = tuple(report.values[lvar(i, nest)] for i in range(nest.depth))

@@ -17,8 +17,9 @@ Batched engines (the fast path of the trace-driven validator):
 * :class:`BatchLRU` — streaming LRU over numpy line chunks, bit-identical
   to :class:`FullyAssociativeLRU` + flush but one to two orders of
   magnitude faster (native kernel when available, tight Python loop
-  otherwise); reports a per-chunk miss mask so callers can attribute
-  traffic per array without touching individual accesses.
+  otherwise or when ``REPRO_NO_NATIVE`` is set); reports a per-chunk
+  miss mask so callers can attribute traffic per array without touching
+  individual accesses.
 * :func:`miss_curve` — the stack-distance simulator: one pass over the
   trace yields exact hit/miss/write-back counts for **every** cache
   capacity simultaneously (:class:`MissCurve`), because an access hits a
@@ -213,10 +214,10 @@ class BatchLRU:
     ``num_lines`` (true for :class:`repro.simulate.trace.AddressMap`
     addresses), which lets the native kernel use a direct-indexed
     residency table.  Falls back to a tight ``OrderedDict`` loop when
-    the native kernel is unavailable.
+    the native kernel is unavailable or ``REPRO_NO_NATIVE`` is set.
     """
 
-    def __init__(self, capacity_lines: int, num_lines: int, use_native: bool | None = None):
+    def __init__(self, capacity_lines: int, num_lines: int):
         if capacity_lines < 1:
             raise ValueError("capacity_lines must be >= 1")
         if num_lines < 1:
@@ -226,9 +227,7 @@ class BatchLRU:
         self.stats = CacheStats()
         from .native import get_kernel
 
-        self._kernel = get_kernel() if use_native in (None, True) else None
-        if use_native is True and self._kernel is None:
-            raise RuntimeError("native kernel requested but unavailable")
+        self._kernel = get_kernel()
         if self._kernel is not None:
             self._state = np.zeros(6, dtype=np.int64)
             self._state[1] = self._state[2] = -1
@@ -269,7 +268,9 @@ class BatchLRU:
                 raise faults.InjectedFault("native-kernel")
             self._kernel.lru_process(
                 self._state.ctypes.data_as(i64p),
-                ctypes.c_int64(self.capacity),
+                # A cache past the address space never evicts, so capping
+                # it there keeps capacities beyond int64 exact.
+                ctypes.c_int64(min(self.capacity, self.num_lines)),
                 self._slot.ctypes.data_as(i64p),
                 self._node_line.ctypes.data_as(i64p),
                 self._node_prev.ctypes.data_as(i64p),
@@ -415,7 +416,6 @@ class MissCurve:
 def miss_curve(
     trace: "Sequence[tuple[int, bool]] | np.ndarray",
     writes: "np.ndarray | Sequence[bool] | None" = None,
-    use_native: bool | None = None,
 ) -> MissCurve:
     """Stack-distance LRU simulation of a full trace, all capacities at once.
 
@@ -446,7 +446,7 @@ def miss_curve(
             finite_distances=np.empty(0, dtype=np.int64),
             write_maxima=np.empty(0, dtype=np.int64),
         )
-    dist, order = stack_distances(lines, use_native=use_native)
+    dist, order = stack_distances(lines)
     cold = dist == n + 1
     wmax = write_interval_maxima(dist, writes_arr, order)
     return MissCurve(

@@ -142,25 +142,21 @@ def _distances_numpy(prev: np.ndarray, order: np.ndarray, lines: np.ndarray) -> 
     return dist
 
 
-def stack_distances(
-    lines: np.ndarray, use_native: bool | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def stack_distances(lines: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Exact LRU stack distance of every access of a line trace.
 
     Returns ``(dist, order)``: ``dist[t]`` is the number of distinct other
     lines since the previous access to ``lines[t]`` (``n + 1`` for cold
     accesses), ``order`` the stable line-grouped permutation for reuse in
-    segmented passes.  ``use_native=None`` picks the native kernel when
-    available; True/False force one implementation (tests pin both).
+    segmented passes.  The native kernel runs when available; set
+    ``REPRO_NO_NATIVE`` to force the numpy path (tests pin both).
     """
     lines = np.ascontiguousarray(lines, dtype=np.int64)
     n = len(lines)
     prev, order = previous_occurrences(lines)
     if n == 0:
         return np.empty(0, dtype=np.int64), order
-    kernel = get_kernel() if use_native in (None, True) else None
-    if use_native is True and kernel is None:
-        raise RuntimeError("native kernel requested but unavailable")
+    kernel = get_kernel()
     if kernel is not None:
         try:
             dist = _distances_native(prev, kernel)

@@ -35,14 +35,16 @@ strictly minimal at some ``beta`` therefore has no slope in any
 ``beta_i`` drops into ``(1, 2]``: the prune over ``[0, 64]^d`` keeps
 exactly the pieces that are strictly minimal somewhere on the orthant.
 
-Everything is exact Fraction arithmetic except a float pre-pass that
-shortlists candidate minimal pieces (error ~1e-13 against a 1e-7
-acceptance margin, then settled exactly).
+Everything is exact.  Each structure's pieces are scaled once to
+integers over the lcm of their denominators, and each query puts
+``beta`` over one common denominator, so the minimal piece is an
+integer argmin.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 import os
 import threading
 from collections import OrderedDict
@@ -74,12 +76,6 @@ from ..util.sharedstore import SharedPlanStore
 __all__ = ["TilePlan", "HierarchyPlan", "Planner", "PlannerStats"]
 
 _ZERO = Fraction(0)
-
-#: Float shortlist margin, relative to the float minimum.  A piece's
-#: value is a sum of nonnegative terms, so its float evaluation is off
-#: by ~1e-15 of its size; any piece within this margin of the float
-#: minimum is re-evaluated exactly.
-_FLOAT_MARGIN = 1e-7
 
 #: Final dual-simplex bases remembered per piece (several optimal bases
 #: meet inside one critical region's closure; a short MRU list absorbs
@@ -260,7 +256,10 @@ class _StructurePlan:
 
     form: CanonicalForm
     pvf: PiecewiseValueFunction
-    float_pieces: list[tuple[float, tuple[float, ...]]] = field(default_factory=list)
+    #: The lcm of every piece's denominators, and each piece times it:
+    #: ``(constant, ((loop, coeff), ...))`` in integers, zeros dropped.
+    scale: int = 1
+    scaled: list[tuple[int, tuple[tuple[int, int], ...]]] = field(default_factory=list)
     #: piece index -> final dual-simplex bases, most recently served
     #: first.  A piece can meet several optimal bases across its region
     #: (and on region boundaries), so a short list beats a single slot.
@@ -270,9 +269,19 @@ class _StructurePlan:
     def __post_init__(self) -> None:
         if self.nest is None:
             self.nest = self.pvf.nest
-        self.float_pieces = [
-            (float(p.constant), tuple(float(c) for c in p.coeffs))
-            for p in self.pvf.pieces
+        pieces = self.pvf.pieces
+        scale = math.lcm(*(v.denominator for p in pieces for v in (p.constant, *p.coeffs)))
+        self.scale = scale
+        self.scaled = [
+            (
+                p.constant.numerator * (scale // p.constant.denominator),
+                tuple(
+                    (i, c.numerator * (scale // c.denominator))
+                    for i, c in enumerate(p.coeffs)
+                    if c
+                ),
+            )
+            for p in pieces
         ]
 
 
@@ -455,31 +464,22 @@ class Planner:
     def _evaluate(
         self, structure: _StructurePlan, betas: Sequence[Fraction]
     ) -> tuple[Fraction, int]:
-        """Exact ``(f(beta), argmin piece index)`` with a float shortlist."""
-        floats = [float(b) for b in betas]
-        best_float = None
-        values = []
-        for const, coeffs in structure.float_pieces:
-            value = const + sum(c * b for c, b in zip(coeffs, floats))
-            values.append(value)
-            if best_float is None or value < best_float:
-                best_float = value
-        threshold = best_float + _FLOAT_MARGIN * (1.0 + abs(best_float))
-        best_exact: Fraction | None = None
-        best_idx = 0
-        for idx, value in enumerate(values):
-            if value <= threshold:
-                piece = structure.pvf.pieces[idx]
-                exact = piece.constant
-                for coeff, beta in zip(piece.coeffs, betas):
-                    if coeff == 1:
-                        exact += beta
-                    elif coeff:
-                        exact += coeff * beta
-                if best_exact is None or exact < best_exact:
-                    best_exact, best_idx = exact, idx
-        assert best_exact is not None
-        return best_exact, best_idx
+        """Exact ``(f(beta), argmin piece index)``; the first minimal piece wins ties.
+
+        Over the common denominator ``den`` of ``beta``, every piece's
+        value is an integer over ``structure.scale * den``, so the
+        comparison is an integer one.
+        """
+        den = math.lcm(*(b.denominator for b in betas))
+        nums = [b.numerator * (den // b.denominator) for b in betas]
+        best = best_idx = None
+        for idx, (const, terms) in enumerate(structure.scaled):
+            value = const * den
+            for i, coeff in terms:
+                value += coeff * nums[i]
+            if best is None or value < best:
+                best, best_idx = value, idx
+        return Fraction(best, structure.scale * den), best_idx
 
     def _lp_solve(
         self, structure: _StructurePlan, betas: Sequence[Fraction]
@@ -488,7 +488,7 @@ class Planner:
         _log.warning("primal certificate failed on %s; solving the LP", structure.form.key())
         nest = structure.nest
         lp = build_tiling_lp(nest, cache_words=2, betas=list(betas))
-        report = lp.solve(backend="exact")
+        report = lp.solve()
         if not report.is_optimal:  # pragma: no cover - LP always feasible/bounded
             raise RuntimeError(f"tiling LP unexpectedly {report.status}")
         lambdas = tuple(report.values[lvar(i, nest)] for i in range(nest.depth))

@@ -70,7 +70,6 @@ def nest_miss_curve(
     nest: LoopNest,
     tile: TileShape | None = None,
     order: Sequence[int] | None = None,
-    use_native: bool | None = None,
 ) -> MissCurve:
     """Stack-distance miss curve of one schedule's word-level trace.
 
@@ -88,7 +87,7 @@ def nest_miss_curve(
         lines[pos : pos + span] = batch.addresses
         writes[pos : pos + span] = batch.is_write
         pos += span
-    return miss_curve(lines, writes, use_native=use_native)
+    return miss_curve(lines, writes)
 
 
 def simulate_hierarchy_trace(
@@ -97,7 +96,6 @@ def simulate_hierarchy_trace(
     tile: TileShape | None = None,
     order: Sequence[int] | None = None,
     schedule: str = "tiled",
-    use_native: bool | None = None,
 ) -> MultiLevelReport:
     """Word-accurate per-boundary traffic of one schedule.
 
@@ -108,7 +106,7 @@ def simulate_hierarchy_trace(
     inclusive-hierarchy traffic) is then a pair of O(log n) lookups on
     the shared curve, instead of one full LRU simulation per level.
     """
-    curve = nest_miss_curve(nest, tile=tile, order=order, use_native=use_native)
+    curve = nest_miss_curve(nest, tile=tile, order=order)
     boundaries = []
     for capacity in hierarchy.capacities:
         words = curve.misses_at(capacity) + curve.writebacks_at(capacity)

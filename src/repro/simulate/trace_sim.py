@@ -11,10 +11,11 @@ Two engines produce identical reports:
 
 * ``engine="batched"`` (default) — streams :class:`TraceBatch` chunks
   from the vectorised generator into :class:`repro.machine.cache.BatchLRU`
-  (native kernel when available); per-array attribution uses the chunk
-  miss masks (chunks hold whole iteration points, so reshaping a mask to
-  ``(points, n_arrays)`` aligns misses with the owning array).  One to
-  two orders of magnitude faster than the reference.
+  (native kernel unless it is unavailable or ``REPRO_NO_NATIVE`` is
+  set); per-array attribution uses the chunk miss masks (chunks hold
+  whole iteration points, so reshaping a mask to ``(points, n_arrays)``
+  aligns misses with the owning array).  One to two orders of magnitude
+  faster than the reference.
 * ``engine="reference"`` — the original per-:class:`Access` path, kept
   as the cross-check oracle and as the "before" baseline of the
   ``bench_trace_sim`` throughput benchmark.
@@ -56,8 +57,6 @@ def run_trace_simulation(
     order: Sequence[int] | None = None,
     policy: Policy = "lru",
     engine: Engine = "batched",
-    chunk: int = 1 << 20,
-    use_native: bool | None = None,
 ) -> TrafficReport:
     """Simulate the tiled execution's trace on a cache; count words moved.
 
@@ -71,8 +70,7 @@ def run_trace_simulation(
     ``engine="batched"`` (default) uses the vectorised generator and the
     chunked LRU engine; ``engine="reference"`` replays the original
     per-access path (the two are bit-identical — the cross-check suite
-    enforces it).  ``use_native`` forces the native kernel on/off for
-    the batched LRU path (None = auto).
+    enforces it).
     """
     if policy not in ("lru", "belady", "direct"):
         raise ValueError(f"unknown policy {policy!r}")
@@ -86,22 +84,18 @@ def run_trace_simulation(
 
     if policy == "lru" and engine == "batched":
         try:
-            stats, dirty_owner, miss_by_array = _lru_batched(
-                nest, amap, machine, tile, order, chunk, use_native
-            )
+            stats, dirty_owner, miss_by_array = _lru_batched(nest, amap, machine, tile, order)
         except NativeKernelError:
             # A kernel that dies mid-stream leaves the BatchLRU state
             # suspect, so degrade by re-running the whole trace on the
             # numpy engine: bit-identical result, no mixed state.  The
             # process is already demoted, so this pays once.
-            stats, dirty_owner, miss_by_array = _lru_batched(
-                nest, amap, machine, tile, order, chunk, False
-            )
+            stats, dirty_owner, miss_by_array = _lru_batched(nest, amap, machine, tile, order)
         for j in range(n_arrays):
             loads[j] = int(miss_by_array[j]) * lw
         _attribute_writebacks(stats.writebacks, dirty_owner, stores, lw, nest)
     else:
-        accesses = _collect_accesses(nest, amap, lw, tile, order, engine, chunk)
+        accesses = _collect_accesses(nest, amap, lw, tile, order, engine)
         if policy == "belady":
             # Belady core gives aggregate stats; attribute misses by replay:
             # the optimal schedule is deterministic, so we re-run the same
@@ -155,19 +149,17 @@ def _lru_batched(
     machine: MachineModel,
     tile: TileShape | None,
     order: Sequence[int] | None,
-    chunk: int,
-    use_native: bool | None,
 ) -> tuple[CacheStats, dict[int, int], np.ndarray]:
     """Streamed batched LRU: stats, last-writer map, per-array miss counts."""
     lw = machine.line_words
     n = nest.num_arrays
     num_lines = -(-amap.total_words // lw)
-    cache = BatchLRU(machine.cache_lines, num_lines, use_native=use_native)
+    cache = BatchLRU(machine.cache_lines, num_lines)
     miss_by_array = np.zeros(n, dtype=np.int64)
     dirty_owner: dict[int, int] = {}
     out_cols = [j for j, arr in enumerate(nest.arrays) if arr.is_output]
     out_ids = np.asarray(out_cols, dtype=np.int64)
-    for batch in generate_trace_batched(nest, tile=tile, order=order, chunk=chunk):
+    for batch in generate_trace_batched(nest, tile=tile, order=order):
         lines = batch.addresses // lw if lw > 1 else batch.addresses
         miss = cache.process(lines, batch.is_write)
         points = len(lines) // n
@@ -192,7 +184,6 @@ def _collect_accesses(
     tile: TileShape | None,
     order: Sequence[int] | None,
     engine: Engine,
-    chunk: int,
 ) -> list[tuple[int, int, bool]]:
     """Materialise the ``(line, array, is_write)`` list for per-access cores."""
     if engine == "reference":
@@ -201,7 +192,7 @@ def _collect_accesses(
             for acc in generate_trace(nest, tile=tile, order=order)
         ]
     accesses: list[tuple[int, int, bool]] = []
-    for batch in generate_trace_batched(nest, tile=tile, order=order, chunk=chunk):
+    for batch in generate_trace_batched(nest, tile=tile, order=order):
         lines = batch.addresses // lw if lw > 1 else batch.addresses
         accesses.extend(
             zip(lines.tolist(), batch.array_ids.tolist(), batch.is_write.tolist())

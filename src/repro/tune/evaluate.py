@@ -25,8 +25,6 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from ..core.loopnest import LoopNest
 from ..core.tiling import TileShape
 from ..obs import MetricsRegistry, merge_worker_delta
@@ -97,23 +95,22 @@ def evaluate_tile(
     nest: LoopNest,
     blocks: Sequence[int],
     capacities: Sequence[int],
-    use_native: bool | None = None,
 ) -> TileEvaluation:
     """One candidate through the one-pass simulator, all capacities at once."""
     tile = TileShape(nest=nest, blocks=tuple(int(b) for b in blocks))
-    curve = nest_miss_curve(nest, tile=tile, use_native=use_native)
-    caps = np.asarray(sorted({int(c) for c in capacities}), dtype=np.int64)
-    _, misses, writebacks = curve.sweep(caps)
+    curve = nest_miss_curve(nest, tile=tile)
+    caps = sorted({int(c) for c in capacities})
+    # Past the cold sentinel every capacity prices alike (the sweep clamps
+    # there too); clamping first keeps capacities beyond int64 exact.
+    _, misses, writebacks = curve.sweep([min(c, curve.accesses + 1) for c in caps])
     return TileEvaluation(
         blocks=tile.blocks,
         accesses=curve.accesses,
-        traffic={
-            int(c): int(m + w) for c, m, w in zip(caps.tolist(), misses, writebacks)
-        },
+        traffic={c: int(m + w) for c, m, w in zip(caps, misses, writebacks)},
     )
 
 
-def _evaluate_worker(payload: tuple[dict, list[int], list[int], bool | None]) -> dict:
+def _evaluate_worker(payload: tuple[dict, list[int], list[int]]) -> dict:
     """Worker entry point: JSON in, JSON out (start-method agnostic).
 
     Returns ``{"evaluation": ..., "metrics": ...}`` — the evaluation
@@ -125,11 +122,11 @@ def _evaluate_worker(payload: tuple[dict, list[int], list[int], bool | None]) ->
         # segfault) takes the process down without unwinding, which is
         # exactly what produces BrokenProcessPool in the parent.
         os._exit(17)
-    nest_json, blocks, capacities, use_native = payload
+    nest_json, blocks, capacities = payload
     nest = LoopNest.from_json(nest_json)
     registry = MetricsRegistry()
     started = time.perf_counter()
-    evaluation = evaluate_tile(nest, blocks, capacities, use_native=use_native)
+    evaluation = evaluate_tile(nest, blocks, capacities)
     registry.histogram("repro_worker_eval_seconds").observe(
         time.perf_counter() - started
     )
@@ -150,7 +147,6 @@ def evaluate_candidates(
     candidates: Sequence[Sequence[int]],
     capacities: Sequence[int],
     workers: int | None = None,
-    use_native: bool | None = None,
     events: dict | None = None,
 ) -> list[TileEvaluation]:
     """Evaluate many candidates, in order; parallel when it can pay.
@@ -176,10 +172,7 @@ def evaluate_candidates(
     blocks_list = [tuple(int(b) for b in blocks) for blocks in candidates]
     if len(blocks_list) >= MIN_PARALLEL_CANDIDATES and workers not in (0, 1):
         nest_json = nest.to_json()
-        payloads = [
-            (nest_json, list(blocks), list(capacities), use_native)
-            for blocks in blocks_list
-        ]
+        payloads = [(nest_json, list(blocks), list(capacities)) for blocks in blocks_list]
         done: dict[int, TileEvaluation] = {}
         try:
             with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -200,10 +193,7 @@ def evaluate_candidates(
                 events["degraded"] = True
                 events.setdefault("degraded_reasons", []).append("tune-pool-crash")
             return [
-                done.get(i)
-                or evaluate_tile(
-                    nest, blocks_list[i], capacities, use_native=use_native
-                )
+                done.get(i) or evaluate_tile(nest, blocks_list[i], capacities)
                 for i in range(len(blocks_list))
             ]
         except deadline.DeadlineExceeded:
@@ -213,7 +203,7 @@ def evaluate_candidates(
     out = []
     for blocks in blocks_list:
         deadline.checkpoint("tune-candidate")
-        out.append(evaluate_tile(nest, blocks, capacities, use_native=use_native))
+        out.append(evaluate_tile(nest, blocks, capacities))
     return out
 
 

@@ -59,7 +59,6 @@ class BudgetedEvaluator:
     capacities: tuple[int, ...]
     budget: int
     workers: int | None = None
-    use_native: bool | None = None
     evaluations: "OrderedDict[tuple[int, ...], TileEvaluation]" = field(
         default_factory=OrderedDict
     )
@@ -89,8 +88,7 @@ class BudgetedEvaluator:
         checkpoint("tune-batch")
         for evaluation in evaluate_candidates(
             self.nest, fresh, self.capacities,
-            workers=self.workers, use_native=self.use_native,
-            events=self.events,
+            workers=self.workers, events=self.events,
         ):
             self.evaluations[evaluation.blocks] = evaluation
         return [
@@ -212,7 +210,6 @@ def search_tiles(
     radius: int = 1,
     capacities: Sequence[int] | None = None,
     workers: int | None = None,
-    use_native: bool | None = None,
     rng_seed: int = 0,
     ceiling: Sequence[int] | None = None,
     objective_capacities: Sequence[int] | None = None,
@@ -255,7 +252,6 @@ def search_tiles(
         capacities=tuple(sorted(caps)),
         budget=max_evaluations,
         workers=workers,
-        use_native=use_native,
         events=events if events is not None else {},
     )
     ev.evaluate([seed])  # the seed is always candidate #0

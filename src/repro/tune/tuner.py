@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Sequence
 
+from ..core.bounds import lower_bound_from_k_hat
 from ..core.hierarchy import MemoryHierarchy
 from ..core.loopnest import LoopNest
 from ..core.tiling import BUDGETS, TileShape
@@ -62,7 +63,6 @@ def tune_tile(
     include_candidates: bool = False,
     planner: Planner | None = None,
     workers: int | None = None,
-    use_native: bool | None = None,
     rng_seed: int = 0,
     events: dict | None = None,
 ) -> TuneReport:
@@ -112,18 +112,16 @@ def tune_tile(
         radius=radius,
         capacities=caps,
         workers=workers,
-        use_native=use_native,
         rng_seed=rng_seed,
         events=events,
     )
 
-    # The lower bound at every capacity of the axis, served through the
-    # plan cache (always the paper-model per-array bound, like analyze).
-    bounds_by_capacity = {}
-    for capacity in caps:
-        bound = planner.plan(nest, capacity, "per-array", include_bound=True).lower_bound
-        assert bound is not None
-        bounds_by_capacity[capacity] = bound.value
+    # The lower bound at every capacity of the axis: one cached piece
+    # evaluation each (always the paper-model per-array bound, like analyze).
+    bounds_by_capacity = {
+        capacity: lower_bound_from_k_hat(nest, capacity, planner.exponent(nest, capacity)).value
+        for capacity in caps
+    }
 
     seed_eval = outcome.evaluations[0]
     assert seed_eval.blocks == seed_plan.tile.blocks
@@ -156,7 +154,6 @@ def tune_hierarchy(
     include_candidates: bool = False,
     planner: Planner | None = None,
     workers: int | None = None,
-    use_native: bool | None = None,
     rng_seed: int = 0,
     events: dict | None = None,
 ) -> HierarchyReport:
@@ -213,7 +210,6 @@ def tune_hierarchy(
         radius=radius,
         capacities=capacities,
         workers=workers,
-        use_native=use_native,
         rng_seed=rng_seed,
         ceiling=ceiling,
         objective_capacities=capacities,

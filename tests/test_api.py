@@ -29,10 +29,12 @@ from repro.api import (
 from repro.api.wire import json_safe, nest_from_json
 from repro.core.bounds import communication_lower_bound
 from repro.core.duality import theorem3_certificate
-from repro.core.tiling import solve_tiling
+from repro.core.tiling import TileShape, solve_tiling
 from repro.core.verify import verify_analysis
 from repro.library.problems import catalog, matmul, mttkrp, nbody
+from repro.machine.model import MachineModel
 from repro.plan import Planner
+from repro.simulate.trace_sim import run_trace_simulation
 
 SETTINGS = settings(max_examples=25, deadline=None)
 
@@ -351,10 +353,16 @@ class TestSession:
     def test_simulate_engines_agree(self):
         nest = nbody(48, 48)
         req = SimulateRequest(nest=nest, cache_words=32)
-        batched = Session(engine="batched").simulate(req)
-        reference = Session(engine="reference").simulate(req)
-        assert batched.payload["total_words"] == reference.payload["total_words"]
-        assert batched.payload["per_array"] == reference.payload["per_array"]
+        batched = Session().simulate(req)
+        assert batched.payload["engine"] == "batched"
+        reference = run_trace_simulation(
+            nest, MachineModel(cache_words=32),
+            tile=TileShape(nest=nest, blocks=tuple(batched.payload["tile"])), engine="reference",
+        )
+        assert batched.payload["total_words"] == reference.total_words
+        assert batched.payload["per_array"] == [
+            {"name": a.name, "loads": a.loads, "stores": a.stores} for a in reference.per_array
+        ]
 
     def test_distributed(self):
         session = Session()
@@ -389,8 +397,8 @@ class TestSession:
         assert b.analyze(matmul(8, 64, 2), cache_words=256).cache_hit is True
 
     def test_invalid_session_args(self, tmp_path):
-        with pytest.raises(ValueError):
-            Session(engine="quantum")
+        with pytest.raises(TypeError):
+            Session(engine="batched")  # simulate always runs the batched engine
         with pytest.raises(ValueError):
             Session(line_words=0)
         with pytest.raises(ValueError, match="plan_cache"):

@@ -106,6 +106,24 @@ class TestCLI:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "more than a float can hold" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--problem", "matmul", "--sizes", "8,8,8", "-M", "HUGE"],
+            ["--problem", "matmul", "--sweep", "--sizes", "8,8,8", "-M", "64:HUGE"],
+            ["tune", "--problem", "matmul", "--sizes", "8,8,8", "-M", "HUGE", "--workers", "0"],
+            ["hierarchy", "--problem", "matmul", "--sizes", "8,8,8",
+             "--capacities", "48:HUGE", "--workers", "0"],
+            ["program", "--einsum", "ik,kj->ij", "--sizes", "i=8,k=8,j=8", "-M", "HUGE"],
+        ],
+        ids=["analyze", "sweep", "tune", "hierarchy", "program"],
+    )
+    def test_cache_size_past_the_float_range_is_a_usage_error(self, capsys, argv):
+        argv = [arg.replace("HUGE", str(10**400)) for arg in argv]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "more than a float can hold" in err
+
     def test_missing_inputs(self):
         with pytest.raises(SystemExit):
             main(["-M", "64"])

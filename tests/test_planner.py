@@ -478,6 +478,55 @@ class TestLexMinVertex:
         assert sum(plan.lambdas) == plan.exponent
 
 
+def _random_betas(rng, depth):
+    """Exact betas of every kind a query brings: ties, huge denominators, beta > 64."""
+    kind = rng.randrange(4)
+    if kind == 0:  # integers and halves: many pieces tie
+        return tuple(Fraction(rng.randint(0, 6), rng.choice((1, 2))) for _ in range(depth))
+    if kind == 1:  # log_ratio-sized denominators
+        return tuple(
+            Fraction(rng.randint(0, 3 * 10**15), rng.randint(10**14, 10**15))
+            for _ in range(depth)
+        )
+    if kind == 2:  # far past the prune box
+        return tuple(Fraction(rng.randint(65 * 7, 10**6), 7) for _ in range(depth))
+    return tuple(
+        Fraction(rng.randint(0, 10**4), rng.randint(1, 97)) if rng.random() < 0.8 else Fraction(0)
+        for _ in range(depth)
+    )
+
+
+class TestIntegerEvaluation:
+    """``Planner._evaluate`` against a ``Fraction`` reference: same value, same piece."""
+
+    @staticmethod
+    def _reference(pieces, betas):
+        values = [piece.evaluate(betas) for piece in pieces]
+        best = min(values)
+        return best, values.index(best)  # the first minimal piece wins ties
+
+    def _check(self, planner, nest, rng, queries):
+        structure, _ = planner._structure(planner.canonicalization(nest))
+        for _ in range(queries):
+            betas = _random_betas(rng, nest.depth)
+            assert planner._evaluate(structure, betas) == self._reference(
+                structure.pvf.pieces, betas
+            ), (nest.name, betas)
+
+    def test_catalog_structures(self):
+        rng = random.Random(5)
+        planner = Planner()
+        for name in FAST_PROBLEMS:
+            self._check(planner, CATALOG[name], rng, 60)
+
+    def test_random_deep_structures(self):
+        rng = random.Random(6)
+        planner = Planner()
+        for depth in range(4, 9):
+            supports = _random_supports(rng, depth, rng.randint(3, 5))
+            self._check(planner, _structure_nest(supports, (2,) * depth), rng, 60)
+
+
 class TestPlanBatch:
     """``Session.batch``: one planner, request order, every tuple spelling."""
 

@@ -309,12 +309,14 @@ class TestNativeChaos:
                 warnings.simplefilter("ignore", RuntimeWarning)
                 assert native.get_kernel() is None
 
-    def test_midrun_kernel_failure_retries_on_numpy(self):
+    def test_midrun_kernel_failure_retries_on_numpy(self, monkeypatch):
         kernel = native.get_kernel()
         if kernel is None:
             pytest.skip("native kernel unavailable in this environment")
         lines = np.array([0, 1, 0, 2, 1, 0, 3, 2], dtype=np.int64)
-        expected, _ = stack_distances(lines, use_native=False)
+        with monkeypatch.context() as env:
+            env.setenv("REPRO_NO_NATIVE", "1")
+            expected, _ = stack_distances(lines)
         prev, _ = previous_occurrences(lines)
         with faults.inject("native-kernel"):
             with warnings.catch_warnings():

@@ -43,6 +43,10 @@ def _get(base: str, path: str):
         return exc.code, json.load(exc)
 
 
+#: A small catalog nest for requests that vary only a cache size.
+SMALL = {"problem": "matmul", "sizes": [6, 6, 6]}
+
+
 def _post(base: str, path: str, blob) -> tuple[int, dict]:
     data = blob if isinstance(blob, bytes) else json.dumps(blob).encode()
     request = urllib.request.Request(
@@ -285,6 +289,34 @@ class TestErrorPayloads:
         status, body = _post(service, path, request(10**307))
         assert status == 400 and body["kind"] == "error", body
         assert "more than a float can hold" in body["payload"]["error"]
+
+    @pytest.mark.parametrize(
+        "path, body",
+        [
+            ("/v1/analyze", lambda m: {**SMALL, "cache_words": m}),
+            ("/v1/batch", lambda m: {"requests": [{**SMALL, "cache_words": m}]}),
+            ("/v1/sweep", lambda m: {"problem": "matmul", "size_axes": [[6], [6], [6]],
+                                     "cache_sizes": [64, m]}),
+            ("/v1/simulate", lambda m: {**SMALL, "cache_words": m}),
+            ("/v1/tune", lambda m: {**SMALL, "cache_words": m, "max_evaluations": 2}),
+            ("/v1/tune", lambda m: {**SMALL, "cache_words": 16, "capacities": [16, m],
+                                    "max_evaluations": 2}),
+            ("/v1/hierarchy", lambda m: {**SMALL, "capacities": [16, m]}),
+            ("/v1/program", lambda m: {"einsum": "ik,kj->ij", "sizes": {"i": 6, "k": 6, "j": 6},
+                                       "cache_words": m}),
+            ("/v1/distributed", lambda m: {**SMALL, "processors": 8, "memory_words": m}),
+        ],
+        ids=["analyze", "batch", "sweep", "simulate", "tune", "tune-capacities", "hierarchy",
+             "program", "distributed"],
+    )
+    def test_cache_size_past_the_float_range_is_a_400(self, service, path, body):
+        # 10**300 words still fit a float (and the simulator caps them
+        # below int64); 10**400 do not, and the bound's floats overflow.
+        status, fits = _post(service, path, body(10**300))
+        assert status == 200, fits
+        status, answer = _post(service, path, body(10**400))
+        assert status == 400 and answer["kind"] == "error", answer
+        assert "more than a float can hold" in answer["payload"]["error"]
 
     @pytest.mark.parametrize(
         "path", ["/v1/analyze", "/v1/batch", "/v1/sweep", "/v1/simulate", "/v1/distributed"]

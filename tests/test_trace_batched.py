@@ -15,7 +15,7 @@ from repro.core.tiling import TileShape, solve_tiling
 from repro.library.problems import matmul, matvec, nbody
 from repro.machine.cache import BatchLRU, FullyAssociativeLRU, miss_curve
 from repro.machine.model import MachineModel
-from repro.machine.native import native_available
+from repro.machine.native import get_kernel, native_available
 from repro.simulate.multilevel import nest_miss_curve
 from repro.simulate.trace import (
     MAX_TRACE_ACCESSES,
@@ -26,7 +26,18 @@ from repro.simulate.trace import (
 )
 from repro.simulate.trace_sim import run_trace_simulation
 
-ENGINES = [False] + ([True] if native_available() else [])
+KERNELS = ["python"] + (["native"] if native_available() else [])
+
+
+@pytest.fixture
+def kernel(request, monkeypatch):
+    """Select one kernel through ``REPRO_NO_NATIVE``, the only switch."""
+    if request.param == "python":
+        monkeypatch.setenv("REPRO_NO_NATIVE", "1")
+    else:
+        monkeypatch.delenv("REPRO_NO_NATIVE", raising=False)
+        assert get_kernel() is not None
+    return request.param
 
 
 def random_nest(rng: np.random.Generator) -> LoopNest:
@@ -123,9 +134,9 @@ class TestBatchedTraceGeneration:
             next(generate_trace_batched(matmul(2, 2, 2), chunk=0))
 
 
-@pytest.mark.parametrize("use_native", ENGINES, ids=lambda v: "native" if v else "python")
+@pytest.mark.parametrize("kernel", KERNELS, indirect=True)
 class TestBatchLRUCrossCheck:
-    def test_randomized_all_capacities(self, use_native):
+    def test_randomized_all_capacities(self, kernel):
         rng = np.random.default_rng(11)
         for _ in range(15):
             n = int(rng.integers(1, 300))
@@ -134,7 +145,7 @@ class TestBatchLRUCrossCheck:
             writes = rng.random(n) < 0.4
             for capacity in range(1, universe + 3):
                 want = reference_stats(lines, writes, capacity)
-                batch = BatchLRU(capacity, universe, use_native=use_native)
+                batch = BatchLRU(capacity, universe)
                 misses = 0
                 cuts = np.sort(rng.integers(0, n + 1, 2))
                 for part in np.split(np.arange(n), cuts):
@@ -145,7 +156,7 @@ class TestBatchLRUCrossCheck:
                 assert (s.accesses, s.hits, s.misses, s.writebacks) == want
                 assert misses == s.misses  # miss mask consistent with totals
 
-    def test_nest_traces_all_capacities(self, use_native):
+    def test_nest_traces_all_capacities(self, kernel):
         rng = np.random.default_rng(13)
         for nest in [matmul(4, 3, 5), matvec(6, 4), nbody(5, 4)]:
             chunks = list(generate_trace_batched(nest, chunk=64))
@@ -154,33 +165,46 @@ class TestBatchLRUCrossCheck:
             universe = int(lines.max()) + 1
             for capacity in rng.integers(1, universe + 2, size=6).tolist():
                 want = reference_stats(lines, writes, capacity)
-                batch = BatchLRU(capacity, universe, use_native=use_native)
+                batch = BatchLRU(capacity, universe)
                 batch.process(lines, writes)
                 batch.flush()
                 s = batch.stats
                 assert (s.accesses, s.hits, s.misses, s.writebacks) == want
 
+    def test_capacity_past_int64(self, kernel):
+        # More lines than the address space holds: nothing is ever
+        # evicted, and the native kernel must not see a wrapped int64.
+        lines = np.array([0, 1, 0, 2, 1, 0, 2], dtype=np.int64)
+        writes = np.array([1, 0, 0, 1, 0, 1, 0], dtype=bool)
+        batch = BatchLRU(10**300, 3)
+        batch.process(lines, writes)
+        batch.flush()
+        s = batch.stats
+        assert (s.accesses, s.hits, s.misses, s.writebacks) == reference_stats(
+            lines, writes, 10**300
+        )
 
-@pytest.mark.parametrize("use_native", ENGINES, ids=lambda v: "native" if v else "python")
+
+@pytest.mark.parametrize("kernel", KERNELS, indirect=True)
 class TestMissCurveCrossCheck:
-    def test_randomized_all_capacities(self, use_native):
+    def test_randomized_all_capacities(self, kernel):
         rng = np.random.default_rng(17)
         for _ in range(15):
             n = int(rng.integers(1, 300))
             universe = int(rng.integers(1, 20))
             lines = rng.integers(0, universe, n).astype(np.int64)
             writes = rng.random(n) < 0.4
-            curve = miss_curve(lines, writes, use_native=use_native)
+            curve = miss_curve(lines, writes)
             for capacity in range(1, universe + 3):
                 want = reference_stats(lines, writes, capacity)
                 s = curve.stats_at(capacity)
                 assert (s.accesses, s.hits, s.misses, s.writebacks) == want
 
-    def test_sweep_matches_point_queries(self, use_native):
+    def test_sweep_matches_point_queries(self, kernel):
         rng = np.random.default_rng(19)
         lines = rng.integers(0, 12, 200).astype(np.int64)
         writes = rng.random(200) < 0.3
-        curve = miss_curve(lines, writes, use_native=use_native)
+        curve = miss_curve(lines, writes)
         caps, misses, writebacks = curve.sweep()
         assert caps[0] == 1 and caps[-1] == curve.distinct_lines + 1
         for c, m, w in zip(caps.tolist(), misses.tolist(), writebacks.tolist()):
@@ -190,10 +214,10 @@ class TestMissCurveCrossCheck:
         assert (np.diff(misses) <= 0).all()
         assert misses[-1] == curve.cold_misses
 
-    def test_nest_curve_matches_trace_simulation(self, use_native):
+    def test_nest_curve_matches_trace_simulation(self, kernel):
         nest = matmul(6, 6, 6)
         sol = solve_tiling(nest, 48, budget="aggregate")
-        curve = nest_miss_curve(nest, tile=sol.tile, use_native=use_native)
+        curve = nest_miss_curve(nest, tile=sol.tile)
         for capacity in (1, 7, 48, 200):
             rep = run_trace_simulation(
                 nest, MachineModel(cache_words=capacity), tile=sol.tile
@@ -255,9 +279,10 @@ class TestTraceSimulationEngines:
             )
 
     @pytest.mark.skipif(not native_available(), reason="no native kernel")
-    def test_native_and_python_lru_agree(self):
+    def test_native_and_python_lru_agree(self, monkeypatch):
         nest = nbody(8, 9)
         machine = MachineModel(cache_words=24)
-        fast = run_trace_simulation(nest, machine, use_native=True)
-        slow = run_trace_simulation(nest, machine, use_native=False)
+        fast = run_trace_simulation(nest, machine)
+        monkeypatch.setenv("REPRO_NO_NATIVE", "1")
+        slow = run_trace_simulation(nest, machine)
         assert _comparable(fast) == _comparable(slow)

@@ -107,17 +107,17 @@ class TestEvaluate:
             )
             assert evaluation.traffic_at(capacity) == report.total_words
 
-    def test_parallel_serial_identical(self):
+    def test_parallel_serial_identical(self, monkeypatch):
         # >= MIN_PARALLEL_CANDIDATES candidates so the pool path engages.
         nest = nbody(30, 30)
         candidates = [(b1, b2) for b1 in (2, 5, 10, 15) for b2 in (3, 12)]
         serial = evaluate_candidates(nest, candidates, [16, 64], workers=0)
         parallel = evaluate_candidates(nest, candidates, [16, 64], workers=2)
         assert [e.to_json() for e in serial] == [e.to_json() for e in parallel]
-        # The forced pure-Python fallback rides the worker payload too.
-        fallback = evaluate_candidates(
-            nest, candidates, [16, 64], workers=2, use_native=False
-        )
+        # The forced pure-Python fallback reaches the workers through
+        # the environment they inherit.
+        monkeypatch.setenv("REPRO_NO_NATIVE", "1")
+        fallback = evaluate_candidates(nest, candidates, [16, 64], workers=2)
         assert [e.to_json() for e in fallback] == [e.to_json() for e in serial]
 
     def test_evaluation_round_trip(self):
