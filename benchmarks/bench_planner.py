@@ -19,8 +19,7 @@ measures:
 
 and emits ``benchmarks/results/BENCH_planner.json`` with the measured
 ratios plus cache-effectiveness counters, so future PRs can track the
-service's trajectory.  An ungated table compares cold solves with
-adopting the same structures from the plan store.
+service's trajectory.
 
 A second leg times fresh cold solves: a new ``Planner`` answers one
 query per distinct catalog structure, best of several passes, as
@@ -328,29 +327,3 @@ def test_e17_structure_sharing_across_disguises(table, smoke):
     t.add("structure hits", stats["structure_hits"])
     assert stats["structure_solves"] == 1
     assert stats["structure_hits"] == queries - 1
-
-
-def test_e17_persistence_solve_vs_load(table, smoke, tmp_path):
-    """Plan store: a later run adopts every structure instead of re-solving."""
-    structures = [matmul(4, 4, 4), mttkrp(4, 4, 4, 4), pointwise_conv(2, 2, 2, 2, 2)]
-    if smoke:
-        structures = structures[:1]
-
-    first = Planner(shared_store=tmp_path)
-    t0 = time.perf_counter()
-    for nest in structures:
-        first.plan(nest, 2**12)
-    t_solve = time.perf_counter() - t0
-
-    second = Planner(shared_store=tmp_path)
-    t0 = time.perf_counter()
-    for nest in structures:
-        assert second.plan(nest, 2**12).exponent == first.plan(nest, 2**12).exponent
-    t_adopt = time.perf_counter() - t0
-    assert second.stats.structure_solves == 0
-    assert sorted(second.cached_keys()) == sorted(first.cached_keys())
-
-    t = table("e17_persistence", ["quantity", "value"])
-    t.add("structures", len(structures))
-    t.add("cold multiparametric solves", f"{t_solve:.3f} s")
-    t.add("adopt from the plan store", f"{t_adopt:.4f} s")

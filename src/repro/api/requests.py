@@ -30,12 +30,11 @@ from __future__ import annotations
 
 import itertools
 import math
-import sys
 from dataclasses import dataclass
 from typing import Mapping
 
 from ..core.loopnest import LoopNest
-from ..core.tiling import BUDGETS
+from ..core.tiling import BUDGETS, MAX_CACHE_WORDS
 from ..frontend.bands import split_bands
 from ..frontend.einsum import FrontendError, parse_einsum
 from ..frontend.program import Program, parse_program
@@ -58,11 +57,6 @@ __all__ = [
 MAX_TUNE_EVALUATIONS = 4096
 
 _POLICIES = ("lru", "belady", "direct")
-
-#: Largest cache or memory size a request may name: the bound, tile and
-#: traffic figures are also floats, and a larger size overflows them.
-MAX_CACHE_WORDS = int(sys.float_info.max)
-
 
 def _require(condition: bool, message: str) -> None:
     if not condition:

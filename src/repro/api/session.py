@@ -2,8 +2,7 @@
 
 A :class:`Session` owns the machinery a stream of queries shares —
 
-* a :class:`~repro.plan.Planner` (the canonical-structure plan cache,
-  optionally backed by the sharded plan store),
+* a :class:`~repro.plan.Planner` (the canonical-structure plan cache),
 * machine-model defaults for simulation,
 * a worker-count default for parallel tune-candidate evaluation —
 
@@ -125,16 +124,9 @@ class Session:
     ----------
     planner:
         An existing :class:`~repro.plan.Planner` to share; a private one
-        is created from ``plan_capacity``/``plan_cache`` when omitted.
+        is created from ``plan_capacity`` when omitted.
     plan_capacity:
         LRU capacity (canonical structures) of the private planner.
-    plan_cache:
-        Optional plan store — a
-        :class:`~repro.util.sharedstore.SharedPlanStore` or a directory
-        path for one.  Structure misses consult it before solving and
-        each fresh solve is written back as it completes, so later runs
-        and concurrent server processes start warm.  Only valid for the
-        private planner (pass a pre-wired planner otherwise).
     line_words:
         Cache-line granularity for :meth:`simulate` (1 = paper model).
     workers:
@@ -148,19 +140,12 @@ class Session:
         planner: Planner | None = None,
         *,
         plan_capacity: int = 128,
-        plan_cache=None,
         line_words: int = 1,
         workers: int | None = None,
     ):
         if line_words < 1:
             raise ValueError("line_words must be >= 1")
-        if planner is not None and plan_cache is not None:
-            raise ValueError(
-                "pass plan_cache to the planner itself, not alongside one"
-            )
-        self.planner = planner if planner is not None else Planner(
-            capacity=plan_capacity, shared_store=plan_cache
-        )
+        self.planner = planner if planner is not None else Planner(capacity=plan_capacity)
         self.line_words = line_words
         self.workers = workers
         self._started = time.time()
@@ -317,7 +302,7 @@ class Session:
 
         Items take any :meth:`analyze` spelling except a bare nest.  Each
         request goes through the plan cache in turn, so a structure
-        solved (or adopted from the plan store) for one request is a
+        solved for one request is a
         warm lookup for the later ones.  Each result's
         ``meta.elapsed_ms`` is the *amortised* per-request batch time
         (total batch wall clock / request count).  If ``deadline_ms``
@@ -445,7 +430,7 @@ class Session:
         """Hierarchy-native planning; the ``/v1/hierarchy`` core.
 
         Plans one nested tiling per level through the plan cache (one
-        cached mpLP piece evaluation per level — structurally identical
+        warm dual simplex answer per level — structurally identical
         nests at different capacity stacks are warm hits), measures the
         innermost walk across every boundary from a single one-pass
         trace, certifies each boundary against its Theorem bound, and —
@@ -555,7 +540,6 @@ class Session:
         from .. import __version__
 
         stats = self.planner.stats.as_dict()
-        store = getattr(self.planner, "shared_store", None)
         return Result(
             kind="health",
             payload={
@@ -564,7 +548,6 @@ class Session:
                 "engine": "batched",
                 "structures_cached": len(self.planner.cached_keys()),
                 "planner_stats": stats,
-                "shared_cache": store.stats_dict() if store is not None else None,
                 "uptime_s": round(time.time() - self._started, 3),
             },
         )
@@ -574,14 +557,12 @@ class Session:
 
         The process-global registry's summary (trace stages and merged
         worker deltas, p50/p95/p99 derived) plus this session's planner
-        and shared-cache counters.  A server's request families live in
-        its own registry (``ServiceServer.metrics``), not here.
+        counters.  A server's request families live in its own registry
+        (``ServiceServer.metrics``), not here.
         """
-        store = getattr(self.planner, "shared_store", None)
         return {
             "registry": global_registry().summary(),
             "planner_stats": self.planner.stats.as_dict(),
-            "shared_cache": store.stats_dict() if store is not None else None,
         }
 
     # -- legacy-shaped conveniences -----------------------------------------

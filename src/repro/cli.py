@@ -16,7 +16,7 @@ Simulate the derived tiling's traffic against the lower bound::
 
 Serve a batch of queries through the plan cache (one JSON line each)::
 
-    repro-tile --batch requests.json --plan-cache plans/
+    repro-tile --batch requests.json
 
 Sweep a problem over size and cache grids (``:`` separates choices)::
 
@@ -62,7 +62,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Sequence
 
@@ -152,28 +151,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="cross-product the :-separated --sizes/--bounds and -M lists",
     )
-    _add_plan_cache_argument(batch)
     return parser
-
-
-def _plan_store_dir(value: str) -> str:
-    """``--plan-cache`` type: a directory path, never an existing file."""
-    if os.path.exists(value) and not os.path.isdir(value):
-        raise argparse.ArgumentTypeError(
-            f"takes a directory (the sharded plan store), but {value!r} is a file"
-        )
-    return value
-
-
-def _add_plan_cache_argument(parser) -> None:
-    parser.add_argument(
-        "--plan-cache",
-        metavar="DIR",
-        type=_plan_store_dir,
-        help="plan store directory (sharded JSON, created if missing): "
-        "structure misses read it and every solve is written to it, so "
-        "later runs and sibling server processes start warm",
-    )
 
 
 def build_serve_parser() -> argparse.ArgumentParser:
@@ -187,7 +165,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--port", type=int, default=8787, help="TCP port (default 8787; 0 = ephemeral)"
     )
-    _add_plan_cache_argument(parser)
     parser.add_argument(
         "--response-cache",
         type=int,
@@ -241,7 +218,7 @@ def build_stats_parser() -> argparse.ArgumentParser:
         "--json",
         action="store_true",
         help="print Session.metrics() as JSON (registry summary + planner "
-        "and plan-store stats) instead of Prometheus text",
+        "stats) instead of Prometheus text",
     )
     return parser
 
@@ -284,7 +261,6 @@ def _add_search_arguments(parser: argparse.ArgumentParser, smoke_help: str) -> N
         default=None,
         help="worker processes for candidate evaluation (default: auto; 0 = serial)",
     )
-    _add_plan_cache_argument(parser)
     parser.add_argument(
         "--deadline-ms",
         type=float,
@@ -464,8 +440,7 @@ _USAGE_ERRORS = (ParseError, LoopNestError, RequestError, OSError,
 def _run_kind(kind: str, args, build, **kwargs) -> int:
     """Run ``build()``'s request through ``Session.<kind>``.
 
-    Prints one Result JSON line per answer; with ``--plan-cache`` every
-    solve lands in the plan store as it completes.  Exit code 0 when
+    Prints one Result JSON line per answer.  Exit code 0 when
     every answer is ok, 2 on a usage error (message on stderr), 3 when
     an answer is an error envelope such as an expired deadline: still
     valid Result JSON on stdout, but scripts can tell it apart.
@@ -473,7 +448,7 @@ def _run_kind(kind: str, args, build, **kwargs) -> int:
     try:
         request = build()
         # Only tune, hierarchy and program take --workers (candidate evaluation).
-        session = Session(plan_cache=args.plan_cache, workers=getattr(args, "workers", None))
+        session = Session(workers=getattr(args, "workers", None))
         answer = getattr(session, kind)(request, **kwargs)
         results = answer if isinstance(answer, list) else [answer]
         for result in results:
@@ -679,11 +654,7 @@ def _run_serve(argv: Sequence[str]) -> int:
     from .serve import serve  # deferred: keep plain CLI start cheap
 
     args = build_serve_parser().parse_args(list(argv))
-    try:
-        session = Session(plan_cache=args.plan_cache)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    session = Session()
     try:
         from .serve import (
             DEFAULT_MAX_INFLIGHT,

@@ -229,7 +229,7 @@ def lower_bound_from_k_hat(
     Pure arithmetic — no LP solve.  Used by
     :func:`communication_lower_bound` after its LP solve, and by the
     plan cache (:mod:`repro.plan`), which obtains ``k_hat`` from a
-    cached multiparametric value function instead.
+    warm-started dual simplex instead.
     """
     tile_size = pow_fraction(cache_words, k_hat)
     ops = nest.num_operations

@@ -28,16 +28,27 @@ The routine is a bounded-variable dual simplex on those costs:
 
 Leaving row: the lowest-index infeasible basic variable (loops before
 slacks).  Entering column: the lexicographic minimum of the ratio test.
+
+A final basis also carries the dual (5.5/5.6) at ``beta``: the row-0
+reduced costs give ``s_r = costs[0][d + r] / det`` for each array row
+and ``zeta_i = -costs[0][i] / det`` for each ``lambda_i`` at its upper
+bound (0 otherwise).  :meth:`Vertex.certified` checks both against the
+LP's own rows, in integers over ``det * den`` — primal and dual
+feasible with equal objectives — so an answer never rests on the
+tableau being right.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
-__all__ = ["Basis", "lex_min_vertex", "slack_basis", "vertex_at"]
+from ..util.deadline import checkpoint
+
+__all__ = ["Basis", "Point", "Vertex", "lex_min_vertex", "point", "slack_basis", "vertex_at"]
 
 _ZERO = Fraction(0)
 
@@ -60,11 +71,136 @@ class Basis:
     tableau: tuple[tuple[int, ...], ...]
     costs: tuple[tuple[int, ...], ...]
 
+    @cached_property
+    def upper_terms(self) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
+        """Per row, ``(rhs, ((j, T_rj) for each loop j at its upper bound if T_rj))``:
+        all that ``x_B`` at a ``beta`` reads of the tableau."""
+        upper = [j for j in range(self.depth) if self.at_upper[j]]
+        return tuple(
+            (line[-1], tuple((j, line[j]) for j in upper if line[j])) for line in self.tableau
+        )
 
-def _scaled(betas: Sequence[Fraction]) -> tuple[int, tuple[int, ...]]:
-    """``(den, nums)`` with ``beta_i == nums[i] / den``, for integer steps."""
+    @cached_property
+    def dual_numerators(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """``(det * zeta, det * s)`` from the row-0 reduced costs, ``s`` per nonempty row."""
+        reduced = self.costs[0]
+        zeta = tuple(-reduced[i] if up else 0 for i, up in enumerate(self.at_upper))
+        return zeta, reduced[self.depth :]
+
+
+class Point(NamedTuple):
+    """``beta`` over one common denominator: ``beta_i == nums[i] / den``."""
+
+    betas: tuple[Fraction, ...]
+    den: int
+    nums: tuple[int, ...]
+
+
+def point(betas: Sequence[Fraction]) -> Point:
     den = lcm(*(b.denominator for b in betas))
-    return den, tuple(b.numerator * (den // b.denominator) for b in betas)
+    return Point(tuple(betas), den, tuple(b.numerator * (den // b.denominator) for b in betas))
+
+
+class Vertex(NamedTuple):
+    """A basis primal feasible at ``at``; ``values[r]`` is ``det * den * x_B[r]``."""
+
+    basis: Basis
+    at: Point
+    values: list[int]
+
+    def lambdas(self) -> tuple[Fraction, ...]:
+        basis, betas = self.basis, self.at.betas
+        scale = basis.det * self.at.den
+        out = [betas[j] if basis.at_upper[j] else _ZERO for j in range(basis.depth)]
+        for var, value in zip(basis.basic, self.values):
+            if var < basis.depth:
+                out[var] = Fraction(value, scale)
+        return tuple(out)
+
+    def certified(self, rows: Sequence[Sequence[int]]) -> Fraction | None:
+        """``sum(lambda)`` if the vertex and the basis's dual certify each other.
+
+        ``rows`` are the LP's array supports (empty ones included, as in
+        :func:`slack_basis`).  Checks, in integers: ``0 <= lambda <=
+        beta``, every row sum ``<= 1``, the dual's feasibility
+        (:func:`_dual_feasible`), and ``sum(s) + sum(beta * zeta) ==
+        sum(lambda)``.  Weak duality then makes both optimal.  None if
+        any check fails.
+        """
+        basis, (_, den, nums) = self.basis, self.at
+        det = basis.det
+        scale = det * den
+        lam = [det * n if up else 0 for n, up in zip(nums, basis.at_upper)]
+        for var, value in zip(basis.basic, self.values):
+            if var < basis.depth:
+                lam[var] = value
+        for value, num in zip(lam, nums):
+            if value < 0 or value > det * num:
+                return None
+        for row in rows:
+            used = 0
+            for i in row:
+                used += lam[i]
+            if used > scale:
+                return None
+        if not _dual_feasible(basis, rows):
+            return None
+        zeta, s = basis.dual_numerators
+        dual = den * sum(s)
+        for z, num in zip(zeta, nums):
+            if z:
+                dual += z * num
+        total = sum(lam)
+        if dual != total:
+            return None
+        return Fraction(total, scale)
+
+    def nondegenerate(self) -> bool:
+        """Every basic variable strictly inside its bounds, and every ``beta_i > 0``.
+
+        Complementary slackness then fixes the optimal dual uniquely, so
+        every optimal basis at this ``beta`` reads the same ``(zeta, s)``.
+        """
+        basis, nums = self.basis, self.at.nums
+        det = basis.det
+        if min(nums) <= 0:
+            return False
+        for var, value in zip(basis.basic, self.values):
+            if value <= 0 or (var < basis.depth and value >= det * nums[var]):
+                return False
+        return True
+
+    def dual(self, rows: Sequence[Sequence[int]]) -> tuple[tuple[Fraction, ...], ...]:
+        """``(zeta, s)`` read off the basis, ``s`` with one entry per row (0 if empty)."""
+        det = self.basis.det
+        zeta, s = self.basis.dual_numerators
+        slacks = iter(s)
+        return (
+            tuple(Fraction(z, det) for z in zeta),
+            tuple(Fraction(next(slacks), det) if row else _ZERO for row in rows),
+        )
+
+
+def _dual_feasible(basis: Basis, rows: Sequence[Sequence[int]]) -> bool:
+    """``s, zeta >= 0`` and every covering row ``zeta_i + sum_{r contains i} s_r >= 1``.
+
+    Neither the basis nor ``rows`` depends on ``beta``, so a passed check
+    is remembered on the basis, keyed by the rows it was made against.
+    """
+    if basis.__dict__.get("_dual_rows") == rows:
+        return True
+    zeta, s = basis.dual_numerators
+    cover = list(zeta)
+    slacks = iter(s)
+    for row in rows:
+        if row:
+            s_r = next(slacks)
+            for i in row:
+                cover[i] += s_r
+    if min(zeta) < 0 or min(s, default=0) < 0 or min(cover) < basis.det:
+        return False
+    basis.__dict__["_dual_rows"] = rows
+    return True
 
 
 def slack_basis(depth: int, rows: Sequence[Sequence[int]]) -> Basis:
@@ -96,13 +232,11 @@ def slack_basis(depth: int, rows: Sequence[Sequence[int]]) -> Basis:
 
 def _basic_values(basis: Basis, den: int, nums: tuple[int, ...]) -> list[int]:
     """``det * den * x_B``, row by row, in integers."""
-    upper = [j for j in range(basis.depth) if basis.at_upper[j]]
     out = []
-    for line in basis.tableau:
-        value = line[-1] * den
-        for j in upper:
-            if line[j]:
-                value -= line[j] * nums[j]
+    for rhs, terms in basis.upper_terms:
+        value = rhs * den
+        for j, coeff in terms:
+            value -= coeff * nums[j]
         out.append(value)
     return out
 
@@ -117,27 +251,16 @@ def _infeasible_row(basis: Basis, values: list[int], nums: tuple[int, ...]) -> i
     return best_row
 
 
-def _lambdas(
-    basis: Basis, values: list[int], den: int, betas: Sequence[Fraction]
-) -> tuple[Fraction, ...]:
-    lambdas = [betas[j] if basis.at_upper[j] else _ZERO for j in range(basis.depth)]
-    for var, value in zip(basis.basic, values):
-        if var < basis.depth:
-            lambdas[var] = Fraction(value, basis.det * den)
-    return tuple(lambdas)
-
-
-def vertex_at(basis: Basis, betas: Sequence[Fraction]) -> tuple[Fraction, ...] | None:
+def vertex_at(basis: Basis, at: Point) -> Vertex | None:
     """The basis's vertex at ``beta`` if it is primal feasible there, else None.
 
     A feasible lex-dual-feasible basis is optimal for the perturbed
     costs, so its vertex is the lexicographically smallest optimum.
     """
-    den, nums = _scaled(betas)
-    values = _basic_values(basis, den, nums)
-    if _infeasible_row(basis, values, nums) is not None:
+    values = _basic_values(basis, at.den, at.nums)
+    if _infeasible_row(basis, values, at.nums) is not None:
         return None
-    return _lambdas(basis, values, den, betas)
+    return Vertex(basis, at, values)
 
 
 def _pivot(basis: Basis, row: int, col: int, leaves_upper: bool) -> Basis:
@@ -208,17 +331,16 @@ def _entering(basis: Basis, row: int, below: bool) -> int:
     return best
 
 
-def lex_min_vertex(
-    start: Basis, betas: Sequence[Fraction]
-) -> tuple[tuple[Fraction, ...], Basis]:
-    """``(lex-min optimal lambda, final basis)`` at ``beta``, pivoting from ``start``."""
-    den, nums = _scaled(betas)
+def lex_min_vertex(start: Basis, at: Point) -> Vertex:
+    """The lex-min optimal vertex at ``beta`` and its final basis, pivoting from ``start``."""
+    den, nums = at.den, at.nums
     basis = start
     while True:
         values = _basic_values(basis, den, nums)
         row = _infeasible_row(basis, values, nums)
         if row is None:
-            return _lambdas(basis, values, den, betas), basis
+            return Vertex(basis, at, values)
+        checkpoint("lp-pivot")
         below = values[row] < 0
         col = _entering(basis, row, below)
         basis = _pivot(basis, row, col, leaves_upper=not below)

@@ -25,6 +25,7 @@ the model.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
@@ -61,6 +62,10 @@ def clamp_block(x: float, bound: int) -> int:
 #: "per-array"  — each array's tile footprint <= M (the paper's model);
 #: "aggregate"  — the *sum* of tile footprints <= M (practical caches).
 BUDGETS = ("per-array", "aggregate")
+
+#: Largest cache or memory size a query may name: the bound, tile and
+#: traffic figures are also floats, and a larger size overflows them.
+MAX_CACHE_WORDS = int(sys.float_info.max)
 
 
 def lvar(i: int, nest: LoopNest) -> str:

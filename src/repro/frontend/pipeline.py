@@ -7,7 +7,7 @@
    (:func:`repro.frontend.bands.split_bands`);
 2. plan each band through the *same* planner, so structurally identical
    bands (a pipeline of matmul-shaped updates, the levels of a V-cycle)
-   cost one multiparametric solve ever — the rest are warm
+   cost one structure solve ever — the rest are warm
    canonical-structure hits;
 3. optionally certify each band (Theorem 3) and autotune its integer
    tile with the trace simulator in the loop;

@@ -1,8 +1,8 @@
 """Prometheus text-exposition rendering (format version 0.0.4), by hand.
 
 The repo's stdlib-only rule applies to observability too: this renders
-a :class:`~repro.obs.metrics.MetricsRegistry` — plus the planner's and
-the shared plan store's own stat dicts — into the plain-text format
+a :class:`~repro.obs.metrics.MetricsRegistry` — plus the planner's own
+stat dict — into the plain-text format
 every Prometheus-compatible scraper speaks.  Histograms emit cumulative
 ``_bucket{le=...}`` series (so p50/p95/p99 are derivable server-side via
 ``histogram_quantile``), ``_sum`` and ``_count``.
@@ -64,9 +64,8 @@ def render_counters(name: str, label: str, values: Mapping[str, float],
                     help_text: str = "") -> str:
     """One counter family from a plain ``{label_value: count}`` stats dict.
 
-    For the planner's ``PlannerStats`` and the plan store's
-    ``stats_dict()``: per-instance stat objects with one source each,
-    rendered here without copying them into a registry.
+    For the planner's ``PlannerStats``: a per-instance stat object with
+    one source, rendered here without copying it into a registry.
     """
     lines = []
     if help_text:

@@ -7,7 +7,7 @@ already punctuate the hot loops (``lp-pivot``, ``mplp-enumeration``,
 ``plan-batch``, ``tune-candidate``, ...) double as trace *ticks* — the
 wall time since the previous trace event is attributed to the stage
 named by the checkpoint.  Coarser phases that are not polling loops
-(cache probe, shared-store read/publish, simulation, serialization) open
+(cache probe, band plan, simulation, serialization) open
 explicit :func:`span`\\ s instead.
 
 ``trace_id`` is 16 lowercase hex characters, minted at the outermost

@@ -8,9 +8,9 @@ simplex per call is what this package does:
 
 * :mod:`repro.core.canonical` reduces each query to a bounds-independent
   canonical structure (the LP depends only on the projection pattern);
-* :class:`Planner` memoises one multiparametric solve per structure (an
-  in-memory LRU with an optional sharded on-disk plan store) and
-  substitutes bounds and cache size at lookup time, exactly.
+* :class:`Planner` keeps, per structure, the final bases of a
+  warm-started exact dual simplex (an in-memory LRU) and substitutes
+  bounds and cache size at lookup time, exactly.
 
 Ordered request lists and size x cache grids go through one planner via
 :meth:`repro.api.Session.batch` and :meth:`repro.api.Session.sweep`.

@@ -1,88 +1,82 @@
-"""The plan cache: canonical structure -> parametric exponents, exactly.
+"""The plan cache: canonical structure -> warm dual-simplex bases, exactly.
 
 Design
 ------
 ``solve_tiling`` spends essentially all of its time in the exact
 rational simplex.  But the LP's *structure* (LP 5.1) depends only on
 the nest's projection pattern; the bounds and cache size enter through
-``beta_i = log_M L_i``.  The paper's §7 observation — the optimum is a
-piecewise-linear function ``f(beta)``, the lower envelope of one affine
-piece per vertex of the beta-independent dual polyhedron — makes the
-expensive part *cacheable*: solve the multiparametric LP once per
-canonical structure, then answer every query on that structure by
-evaluating finitely many affine pieces.
+``beta_i = log_M L_i``.  :mod:`repro.core.lexdual` solves LP (5.1) with
+a bounded-variable dual simplex whose tableau never involves ``beta``,
+so any basis it ever reached on a structure is a valid start for any
+later ``beta`` on it.  The planner keeps, per canonical structure, a
+short most-recently-used list of final bases and nothing else.
 
-Recovering the *primal* solution (the ``lambda_i`` the integer tile is
-built from) follows one rule: the planner serves the lexicographically
-smallest optimal ``lambda`` in canonical loop order — among the optimal
-``lambda``, the smallest ``lambda_1``, then the smallest ``lambda_2``,
-and so on.  :mod:`repro.core.lexdual` computes it with a warm-started
-bounded-variable dual simplex whose tableau never involves ``beta``.
-Each piece keeps a short MRU list of final bases; one that is primal
-feasible at ``beta`` answers with no pivot, and otherwise the routine
-pivots from the front one.  Every basis is lex-dual feasible and the
-lexicographic optimum is unique, so the cache changes speed only —
-never the answer, whatever the planner saw before.  Every vertex is
-still checked exactly (primal feasible and objective equal to the dual
-value certifies optimality), and a failed check falls back to the
-exact LP; the guard never trusts the cache.
+A query tries each cached basis: one that is primal feasible at
+``beta`` answers with no pivot and moves to the front; otherwise the
+routine pivots from the front basis, or from the slack basis on a cold
+structure.  The served vertex follows one rule — the lexicographically
+smallest optimal ``lambda`` in canonical loop order — and every basis
+is lex-dual feasible with a unique lexicographic optimum, so the cache
+changes speed only, never the answer.  The exponent ``f(beta)`` is
+``sum(lambda)``.
 
-The cached pieces serve every ``beta >= 0``, however large.  In LP
-(5.1) every array containing loop ``i`` gives ``lambda_i <= 1``, so
-``f`` depends on ``beta_i`` only through ``min(beta_i, 1)``.  A piece
-strictly minimal at some ``beta`` therefore has no slope in any
-``beta_i > 1`` there, and stays strictly minimal when each such
-``beta_i`` drops into ``(1, 2]``: the prune over ``[0, 64]^d`` keeps
-exactly the pieces that are strictly minimal somewhere on the orthant.
+Every answer is certified, not trusted: the final basis's reduced costs
+give a dual ``(zeta, s)``, and :meth:`repro.core.lexdual.Vertex.certified`
+checks, in integers, that the vertex and that dual are feasible against
+the canonical rows with equal objectives.  A cached basis that fails is
+dropped and the query re-solves from the slack basis.
 
-Everything is exact.  Each structure's pieces are scaled once to
-integers over the lcm of their denominators, and each query puts
-``beta`` over one common denominator, so the minimal piece is an
-integer argmin.
+A certificate's dual must not depend on what the planner saw before: a
+primal-degenerate vertex has several optimal bases, hence several
+duals.  :meth:`Planner.certificate` therefore serves the dual of the
+final basis of a run started at the slack basis, which depends on
+``beta`` alone; a cached basis stands in for that run only at a
+nondegenerate vertex, whose optimal dual is unique.  The piecewise closed form of paper §7
+(:func:`~repro.core.mplp.parametric_tile_exponent`) is not on this path;
+the CLI's ``--piecewise`` mode and the library still compute it.
 """
 
 from __future__ import annotations
 
 import logging
-import math
-import os
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
 from ..core import lexdual
 from ..core.bounds import CommunicationLowerBound, lower_bound_from_k_hat
-from ..core.canonical import CanonicalForm, Canonicalization, canonicalize
+from ..core.canonical import Canonicalization, canonicalize
 from ..core.duality import DualSolution, Theorem3Certificate, _complementary_slackness
 from ..core.hierarchy import MemoryHierarchy
 from ..core.integer import nested_integer_repair
 from ..core.loopnest import LoopNest
-from ..core.mplp import AffinePiece, PiecewiseValueFunction, parametric_tile_exponent
+from ..core.mplp import parametric_tile_exponent  # noqa: F401  (perfbench patches it here)
 from ..core.tiling import (
     BUDGETS,
+    MAX_CACHE_WORDS,
     TileShape,
     TilingSolution,
-    build_tiling_lp,
     integer_repair,
-    lvar,
 )
 from ..obs.trace import span as _span
 from ..util import deadline as _deadline
 from ..util.rationals import log_ratio, pow_fraction
-from ..util.sharedstore import SharedPlanStore
 
 __all__ = ["TilePlan", "HierarchyPlan", "Planner", "PlannerStats"]
 
 _ZERO = Fraction(0)
 
-#: Final dual-simplex bases remembered per piece (several optimal bases
-#: meet inside one critical region's closure; a short MRU list absorbs
-#: the churn).
-_BASES_PER_PIECE = 8
+#: Final dual-simplex bases remembered per structure, most recently
+#: served first (different ``beta`` regions meet different optimal
+#: bases; a short list absorbs the churn).
+_BASES_PER_STRUCTURE = 8
 
 _log = logging.getLogger(__name__)
+
+#: (certified vertex, its exponent ``sum(lambda)``) at one ``beta``.
+_Answer = tuple[lexdual.Vertex, Fraction]
 
 
 @dataclass(frozen=True)
@@ -233,16 +227,21 @@ class HierarchyPlan:
 
 @dataclass
 class PlannerStats:
-    """Counters exposed for benchmarks and cache-effectiveness tests."""
+    """Counters exposed for benchmarks and cache-effectiveness tests.
+
+    Every query probes the structure cache once: ``queries ==
+    structure_hits + structure_solves``, where a solve is the slack-start
+    dual simplex run on a structure not in the cache.
+    """
 
     queries: int = 0
     structure_hits: int = 0
     structure_solves: int = 0
+    #: Answers from a cached basis already primal feasible at ``beta``.
     primal_map_hits: int = 0
+    #: Dual simplex runs (each pivots from a cached or the slack basis).
     primal_lp_solves: int = 0
     evictions: int = 0
-    #: Structures adopted from a cross-process shared store instead of solved.
-    shared_hits: int = 0
     #: Callers that waited on another thread's in-flight solve of the same key.
     coalesced: int = 0
 
@@ -250,90 +249,23 @@ class PlannerStats:
         return dict(self.__dict__)
 
 
-@dataclass
-class _StructurePlan:
-    """Everything cached for one canonical structure."""
-
-    form: CanonicalForm
-    pvf: PiecewiseValueFunction
-    #: The lcm of every piece's denominators, and each piece times it:
-    #: ``(constant, ((loop, coeff), ...))`` in integers, zeros dropped.
-    scale: int = 1
-    scaled: list[tuple[int, tuple[tuple[int, int], ...]]] = field(default_factory=list)
-    #: piece index -> final dual-simplex bases, most recently served
-    #: first.  A piece can meet several optimal bases across its region
-    #: (and on region boundaries), so a short list beats a single slot.
-    bases: dict[int, list[lexdual.Basis]] = field(default_factory=dict)
-    nest: LoopNest = None  # canonical nest (generic names, dummy bounds)
-
-    def __post_init__(self) -> None:
-        if self.nest is None:
-            self.nest = self.pvf.nest
-        pieces = self.pvf.pieces
-        scale = math.lcm(*(v.denominator for p in pieces for v in (p.constant, *p.coeffs)))
-        self.scale = scale
-        self.scaled = [
-            (
-                p.constant.numerator * (scale // p.constant.denominator),
-                tuple(
-                    (i, c.numerator * (scale // c.denominator))
-                    for i, c in enumerate(p.coeffs)
-                    if c
-                ),
-            )
-            for p in pieces
-        ]
-
-
-def _piece_to_json(piece: AffinePiece) -> dict:
-    return {
-        "c": str(piece.constant),
-        "zeta": [str(z) for z in piece.source_zeta],
-        "s": [str(s) for s in piece.source_s],
-    }
-
-
-def _piece_from_json(blob: dict) -> AffinePiece:
-    zeta = tuple(Fraction(z) for z in blob["zeta"])
-    return AffinePiece(
-        constant=Fraction(blob["c"]),
-        coeffs=zeta,
-        source_zeta=zeta,
-        source_s=tuple(Fraction(s) for s in blob["s"]),
-    )
-
-
 class Planner:
-    """LRU-cached, optionally persistent, exact tiling-plan service.
+    """LRU-cached exact tiling-plan service.
 
     Parameters
     ----------
     capacity:
         Maximum number of canonical structures kept in memory (least
         recently used evicted first).
-    shared_store:
-        Optional :class:`~repro.util.sharedstore.SharedPlanStore` (or a
-        directory path for one) — the planner's only persistence.
-        Structure misses consult the store before solving, and each
-        fresh solve is written back as it completes, so concurrent
-        planner processes and later runs warm each other.  Warm-start
-        bases are derived data and are not persisted: they change the
-        speed of primal recovery, never its answer.
     """
 
-    def __init__(
-        self,
-        capacity: int = 128,
-        shared_store: SharedPlanStore | str | os.PathLike | None = None,
-    ):
+    def __init__(self, capacity: int = 128):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
-        if shared_store is not None and not isinstance(shared_store, SharedPlanStore):
-            shared_store = SharedPlanStore(shared_store)
-        self.shared_store = shared_store
         self.stats = PlannerStats()
-        self._structures: OrderedDict[str, _StructurePlan] = OrderedDict()
+        #: canonical key -> final bases, most recently served first.
+        self._structures: OrderedDict[str, list[lexdual.Basis]] = OrderedDict()
         self._canon_memo: dict[tuple, Canonicalization] = {}
         # Beta memo: sweeps repeat the same (bound, cache) pairs, and a
         # repeat then skips log_ratio's float approximation of an
@@ -359,9 +291,10 @@ class Planner:
                     self._canon_memo[memo_key] = canon
         return canon
 
-    def _betas(self, bounds: Sequence[int], base: int) -> list[Fraction]:
+    def _point(self, canon: Canonicalization, bounds: Sequence[int], base: int) -> lexdual.Point:
+        """Canonical ``beta`` at cache size ``base``."""
         memo = self._log_memo
-        out = []
+        betas = []
         for bound in bounds:
             key = (bound, base)
             value = memo.get(key)
@@ -369,8 +302,8 @@ class Planner:
                 value = log_ratio(bound, base)
                 if len(memo) < 1 << 16:
                     memo[key] = value
-            out.append(value)
-        return out
+            betas.append(value)
+        return lexdual.point(canon.to_canonical(tuple(betas)))
 
     # -- structure cache ----------------------------------------------------
 
@@ -378,58 +311,109 @@ class Planner:
         with self._lock:
             return list(self._structures)
 
-    def _adopt_shared(self, key: str) -> _StructurePlan | None:
-        """Pull one structure from the shared store into the LRU, if present there."""
-        if self.shared_store is None:
-            return None
-        pieces_json = self.shared_store.get(key)
-        if pieces_json is None:
-            return None
-        try:
-            form = CanonicalForm.from_key(key)
-            pieces = tuple(
-                sorted(
-                    (_piece_from_json(blob) for blob in pieces_json),
-                    key=lambda p: (p.constant, p.coeffs),
-                )
-            )
-            pvf = PiecewiseValueFunction(nest=form.to_nest(), pieces=pieces, pruned=True)
-        except Exception:
-            # A poisoned entry must degrade to a fresh solve, never an
-            # unstructured failure; invalidation stats live in the store.
-            _log.warning("discarding malformed shared-store entry %r", key)
-            return None
-        plan = _StructurePlan(form=form, pvf=pvf)
+    def cache_sizes(self) -> dict[str, int]:
+        """Entries held by each in-memory cache (for the metrics gauges)."""
         with self._lock:
-            self._structures[key] = plan
-            self._structures.move_to_end(key)
-            self._evict()
-            self.stats.shared_hits += 1
-        return plan
+            return {
+                "structures": len(self._structures),
+                "bases": sum(len(bases) for bases in self._structures.values()),
+                "canon_memo": len(self._canon_memo),
+                "log_memo": len(self._log_memo),
+            }
 
     def _evict(self) -> None:
         while len(self._structures) > self.capacity:
             self._structures.popitem(last=False)
             self.stats.evictions += 1
 
-    def _structure(self, canon: Canonicalization) -> tuple[_StructurePlan, bool]:
-        """The structure for ``canon``, coalescing concurrent misses.
+    def _solve(
+        self, canon: Canonicalization, start: lexdual.Basis | None, at: lexdual.Point
+    ) -> _Answer:
+        """Pivot from ``start`` (None: the slack basis) and certify the vertex.
 
-        Exactly one thread per canonical key runs the multiparametric
-        solve; concurrent callers for the same key wait on the leader's
-        event (respecting their own deadlines) and then re-read the
-        cache.  If the leader fails, its event is still set and one
-        waiter takes over as the new leader.
+        A failed certificate from a cached start re-solves from the
+        slack basis; one from the slack basis is a bug and raises.
         """
+        with self._lock:
+            self.stats.primal_lp_solves += 1
+        form = canon.form
+        vertex = lexdual.lex_min_vertex(start or lexdual.slack_basis(form.depth, form.rows), at)
+        value = vertex.certified(form.rows)
+        if value is not None:
+            return vertex, value
+        if start is None:
+            raise RuntimeError(f"LP (5.1) certificate failed on {form.key()} from the slack basis")
+        _log.warning("certificate failed on %s; re-solving from the slack basis", form.key())
+        return self._solve(canon, None, at)
+
+    def _vertex(
+        self,
+        canon: Canonicalization,
+        bases: list[lexdual.Basis],
+        at: lexdual.Point,
+        slack_dual: bool = False,
+    ) -> _Answer:
+        """The certified lex-min vertex at ``at`` from a structure's bases.
+
+        ``slack_dual`` asks for the dual a run from the slack basis reads,
+        which depends on ``beta`` alone: a cached basis serves only where
+        that dual is unique (a nondegenerate vertex), else the routine
+        pivots from the slack basis.
+        """
+        rows = canon.form.rows
+        for basis in tuple(bases):
+            vertex = lexdual.vertex_at(basis, at)
+            if vertex is None:
+                continue
+            if slack_dual and not vertex.nondegenerate():
+                break
+            value = vertex.certified(rows)
+            with self._lock:
+                if value is None:
+                    _log.warning("dropping a cached basis that failed its certificate")
+                    _drop(bases, basis)
+                    continue
+                _to_front(bases, basis)
+                self.stats.primal_map_hits += 1
+            return vertex, value
+        start = None if slack_dual or not bases else bases[0]
+        vertex, value = self._solve(canon, start, at)
+        with self._lock:
+            _to_front(bases, vertex.basis)
+        return vertex, value
+
+    def _lookup(
+        self, nest: LoopNest, cache_words: int, slack_dual: bool = False
+    ) -> tuple[Canonicalization, list[lexdual.Basis], bool, _Answer]:
+        """One query: ``(canon, bases, cache hit, answer at cache_words)``.
+
+        Counts the query and probes the structure cache once.  Exactly
+        one thread per cold canonical key runs the slack-start solve and
+        installs the structure; concurrent callers for the same key wait
+        on the leader's event (respecting their own deadlines) and then
+        answer from the cache.  If the leader fails, its event is still
+        set and one waiter takes over as the new leader.
+        """
+        if cache_words < 2:
+            raise ValueError("planning needs cache_words >= 2")
+        if cache_words > MAX_CACHE_WORDS:
+            raise ValueError(
+                f"cache_words is about 2**{cache_words.bit_length() - 1}, "
+                "more than a float can hold (~1.8e308)"
+            )
+        with self._lock:
+            self.stats.queries += 1
+        canon = self.canonicalization(nest)
+        at = self._point(canon, nest.bounds, cache_words)
         key = canon.form.key()
         waited = False
         while True:
             with _span("plan-cache-probe"), self._lock:
-                cached = self._structures.get(key)
-                if cached is not None:
+                bases = self._structures.get(key)
+                if bases is not None:
                     self._structures.move_to_end(key)
                     self.stats.structure_hits += 1
-                    return cached, True
+                    break
                 event = self._solving.get(key)
                 if event is None:
                     self._solving[key] = event = threading.Event()
@@ -439,146 +423,20 @@ class Planner:
                     self.stats.coalesced += 1
             while not event.wait(0.02):
                 _deadline.checkpoint("structure-coalesce")
+        if bases is not None:
+            return canon, bases, True, self._vertex(canon, bases, at, slack_dual)
         try:
-            plan = self._adopt_shared(key)
-            if plan is not None:
-                return plan, True
-            # Solve outside the lock: multiparametric solves are the slow part.
-            pvf = parametric_tile_exponent(canon.form.to_nest())
-            plan = _StructurePlan(form=canon.form, pvf=pvf)
+            answer = self._solve(canon, None, at)
+            bases = [answer[0].basis]
             with self._lock:
                 self.stats.structure_solves += 1
-                self._structures[key] = plan
-                self._structures.move_to_end(key)
+                self._structures[key] = bases
                 self._evict()
-            if self.shared_store is not None:
-                self.shared_store.put(key, [_piece_to_json(p) for p in pvf.pieces])
-            return plan, False
+            return canon, bases, False, answer
         finally:
             with self._lock:
                 self._solving.pop(key, None)
             event.set()
-
-    # -- exact piecewise evaluation -----------------------------------------
-
-    def _evaluate(
-        self, structure: _StructurePlan, betas: Sequence[Fraction]
-    ) -> tuple[Fraction, int]:
-        """Exact ``(f(beta), argmin piece index)``; the first minimal piece wins ties.
-
-        Over the common denominator ``den`` of ``beta``, every piece's
-        value is an integer over ``structure.scale * den``, so the
-        comparison is an integer one.
-        """
-        den = math.lcm(*(b.denominator for b in betas))
-        nums = [b.numerator * (den // b.denominator) for b in betas]
-        best = best_idx = None
-        for idx, (const, terms) in enumerate(structure.scaled):
-            value = const * den
-            for i, coeff in terms:
-                value += coeff * nums[i]
-            if best is None or value < best:
-                best, best_idx = value, idx
-        return Fraction(best, structure.scale * den), best_idx
-
-    def _lp_solve(
-        self, structure: _StructurePlan, betas: Sequence[Fraction]
-    ) -> tuple[Fraction, tuple[Fraction, ...]]:
-        """Exact LP solve: the fallback when the certificate rejects a vertex."""
-        _log.warning("primal certificate failed on %s; solving the LP", structure.form.key())
-        nest = structure.nest
-        lp = build_tiling_lp(nest, cache_words=2, betas=list(betas))
-        report = lp.solve()
-        if not report.is_optimal:  # pragma: no cover - LP always feasible/bounded
-            raise RuntimeError(f"tiling LP unexpectedly {report.status}")
-        lambdas = tuple(report.values[lvar(i, nest)] for i in range(nest.depth))
-        return report.objective, lambdas
-
-    def _verified(
-        self,
-        structure: _StructurePlan,
-        betas: Sequence[Fraction],
-        lambdas: Sequence[Fraction],
-        value: Fraction,
-    ) -> bool:
-        """Exact optimality certificate: feasible + objective == dual value."""
-        total = _ZERO
-        for lam, beta in zip(lambdas, betas):
-            if lam < 0 or lam > beta:
-                return False
-            total += lam
-        if total != value:
-            return False
-        for row in structure.form.rows:
-            if row and sum((lambdas[i] for i in row), start=_ZERO) > 1:
-                return False
-        return True
-
-    def _pivot(
-        self, structure: _StructurePlan, start: lexdual.Basis | None, betas: Sequence[Fraction]
-    ) -> tuple[tuple[Fraction, ...], lexdual.Basis]:
-        """Lex-min optimal vertex by dual simplex from ``start`` (None: the slack basis)."""
-        with self._lock:
-            self.stats.primal_lp_solves += 1
-        if start is None:
-            start = lexdual.slack_basis(structure.form.depth, structure.form.rows)
-        return lexdual.lex_min_vertex(start, betas)
-
-    def _primal_for_piece(
-        self,
-        structure: _StructurePlan,
-        betas: Sequence[Fraction],
-        value: Fraction,
-        piece_idx: int,
-    ) -> tuple[Fraction, tuple[Fraction, ...]]:
-        """The lex-min optimal vertex for a known minimizing piece, certified."""
-        bases = structure.bases.get(piece_idx, [])
-        for basis in tuple(bases):
-            lambdas = lexdual.vertex_at(basis, betas)
-            if lambdas is not None and self._verified(structure, betas, lambdas, value):
-                with self._lock:
-                    if bases and bases[0] is not basis and basis in bases:
-                        bases.remove(basis)
-                        bases.insert(0, basis)
-                    self.stats.primal_map_hits += 1
-                return value, lambdas
-        lambdas, basis = self._pivot(structure, bases[0] if bases else None, betas)
-        if not self._verified(structure, betas, lambdas, value):
-            return self._lp_solve(structure, betas)
-        with self._lock:
-            bases = structure.bases.setdefault(piece_idx, [])
-            if basis not in bases:
-                bases.insert(0, basis)
-                del bases[_BASES_PER_PIECE:]
-        return value, lambdas
-
-    # -- the one lookup every entry point shares ----------------------------
-
-    def _point(
-        self, canon: Canonicalization, structure: _StructurePlan, bounds: Sequence[int], base: int
-    ) -> tuple[tuple[Fraction, ...], Fraction, int]:
-        """``(canonical betas, f(beta), argmin piece index)`` at cache size ``base``."""
-        betas = canon.to_canonical(tuple(self._betas(bounds, base)))
-        value, piece_idx = self._evaluate(structure, betas)
-        return betas, value, piece_idx
-
-    def _lookup(
-        self, nest: LoopNest, cache_words: int
-    ) -> tuple[Canonicalization, _StructurePlan, bool, tuple[tuple[Fraction, ...], Fraction, int]]:
-        """One query: ``(canon, structure, cache hit, point at cache_words)``.
-
-        Counts the query, canonicalizes, probes the structure cache once
-        and evaluates the pieces (:meth:`_point`).  Every entry point
-        runs exactly one lookup, so ``stats.queries`` equals
-        ``structure_hits + structure_solves + shared_hits``.
-        """
-        if cache_words < 2:
-            raise ValueError("planning needs cache_words >= 2")
-        with self._lock:
-            self.stats.queries += 1
-        canon = self.canonicalization(nest)
-        structure, hit = self._structure(canon)
-        return canon, structure, hit, self._point(canon, structure, nest.bounds, cache_words)
 
     # -- the service entry points -------------------------------------------
 
@@ -602,22 +460,22 @@ class Planner:
                 f"aggregate budget needs cache_words >= {nest.num_arrays} "
                 f"(one word per array), got {cache_words}"
             )
-        canon, structure, hit, full = self._lookup(nest, cache_words)
-        effective_m, point = cache_words, full
+        canon, bases, hit, full = self._lookup(nest, cache_words)
+        effective_m, answer = cache_words, full
         if budget == "aggregate":
-            effective_m, point = cache_words // nest.num_arrays, None
+            effective_m, answer = cache_words // nest.num_arrays, None
             if effective_m >= 2:
-                point = self._point(canon, structure, nest.bounds, effective_m)
+                answer = self._vertex(canon, bases, self._point(canon, nest.bounds, effective_m))
         depth = nest.depth
-        if point is None:
+        if answer is None:
             # Degenerate effective cache: unit tile (see solve_tiling).
             exponent = _ZERO
             lambdas = tuple(_ZERO for _ in range(depth))
             fractional = tuple(1.0 for _ in range(depth))
             tile = TileShape(nest=nest, blocks=tuple(1 for _ in range(depth)))
         else:
-            exponent, canon_lambdas = self._primal_for_piece(structure, *point)
-            lambdas = canon.from_canonical(canon_lambdas)
+            vertex, exponent = answer
+            lambdas = canon.from_canonical(vertex.lambdas())
             fractional = tuple(pow_fraction(effective_m, lam) for lam in lambdas)
             tile = integer_repair(nest, fractional, cache_words, budget)
         lower_bound = lower_bound_from_k_hat(nest, cache_words, full[1]) if include_bound else None
@@ -637,12 +495,10 @@ class Planner:
     def exponent(self, nest: LoopNest, cache_words: int) -> Fraction:
         """The exact per-array exponent ``k_hat`` at ``cache_words`` alone.
 
-        One piece evaluation of ``f(beta)`` on the cached structure:
-        no primal recovery, no integer repair, no LP on a warm
-        structure.  Equal to :func:`repro.core.bounds.tile_exponent`.
+        ``sum(lambda)`` of the certified vertex, with no integer repair
+        or bound.  Equal to :func:`repro.core.bounds.tile_exponent`.
         """
-        _, _, _, (_, value, _) = self._lookup(nest, cache_words)
-        return value
+        return self._lookup(nest, cache_words)[3][1]
 
     def plan_hierarchy(
         self,
@@ -654,10 +510,8 @@ class Planner:
         """Nested plans for a whole memory hierarchy, one cache walk.
 
         Every level shares the nest's canonical structure, so the stack
-        costs one multiparametric solve *ever* (the first level of the
-        first query on a cold structure) and one cached piece evaluation
-        per level afterwards — structurally identical nests at different
-        capacity stacks are warm hits.  Tiles are repaired jointly by
+        probes one structure and each level answers from its cached
+        bases.  Tiles are repaired jointly by
         :func:`~repro.core.integer.nested_integer_repair`, so level-l
         blocks never exceed level-(l+1) blocks; everything else about
         each level (exponent, lambdas, lower bound) is exactly the
@@ -689,26 +543,26 @@ class Planner:
         )
 
     def certificate(self, nest: LoopNest, cache_words: int) -> Theorem3Certificate:
-        """Cache-served Theorem-3 certificate — no LP solve on a warm hit.
+        """Theorem-3 certificate read off one dual simplex run — no mpLP solve.
 
-        Every cached piece *is* a vertex ``(zeta, s)`` of the
-        beta-independent dual polyhedron (see :mod:`repro.core.mplp`), so
-        the minimizing piece at ``beta`` doubles as the optimal dual
-        multipliers there; the primal vertex is the same certified
-        lex-min vertex :meth:`plan` serves, at every ``beta >= 0``.  The
+        The primal vertex is the certified lex-min vertex :meth:`plan`
+        serves; the dual ``(zeta, s)`` is the one the reduced costs of the
+        final basis of a run started at the slack basis give, so it
+        depends on ``beta`` alone, never on the queries answered before.
+        A cached basis serves it only at a nondegenerate vertex, where
+        every optimal basis reads that same (unique) dual.  The
         exponent is what :func:`repro.core.duality.theorem3_certificate`
-        certifies — strong duality holds by construction — at cache
-        cost instead of two exact simplex runs.
+        certifies, with strong duality checked in integers.
         """
-        canon, structure, _, (canon_betas, value, piece_idx) = self._lookup(nest, cache_words)
-        value, canon_lambdas = self._primal_for_piece(structure, canon_betas, value, piece_idx)
-        piece = structure.pvf.pieces[piece_idx]
-        betas = canon.from_canonical(canon_betas)
-        lambdas = canon.from_canonical(canon_lambdas)
-        zeta = canon.from_canonical(piece.source_zeta)
+        canon, _, _, (vertex, value) = self._lookup(nest, cache_words, slack_dual=True)
+        rows = canon.form.rows
+        canon_zeta, canon_s = vertex.dual(rows)
+        betas = canon.from_canonical(vertex.at.betas)
+        lambdas = canon.from_canonical(vertex.lambdas())
+        zeta = canon.from_canonical(canon_zeta)
         s = [_ZERO] * nest.num_arrays
         for row, orig in enumerate(canon.array_order):
-            s[orig] = piece.source_s[row]
+            s[orig] = canon_s[row]
         s = tuple(s)
         return Theorem3Certificate(
             nest=nest,
@@ -720,3 +574,22 @@ class Planner:
             dual=DualSolution(zeta=zeta, s=s, objective=value),
             complementary_slackness=_complementary_slackness(nest, betas, lambdas, zeta, s),
         )
+
+
+def _to_front(bases: list[lexdual.Basis], basis: lexdual.Basis) -> None:
+    """Move ``basis`` (by identity) to the front of ``bases``, adding it if absent."""
+    for k, cached in enumerate(bases):
+        if cached is basis:
+            if k:
+                del bases[k]
+                bases.insert(0, basis)
+            return
+    bases.insert(0, basis)
+    del bases[_BASES_PER_STRUCTURE:]
+
+
+def _drop(bases: list[lexdual.Basis], basis: lexdual.Basis) -> None:
+    for k, cached in enumerate(bases):
+        if cached is basis:
+            del bases[k]
+            return

@@ -1,10 +1,10 @@
 """``repro-tile serve`` — an asyncio JSON endpoint over one shared Session.
 
-The paper's value function is piecewise-linear in the loop bounds (§7),
+The tiling LP depends on the loop bounds only through ``beta`` (§7),
 which makes "ask many questions about many nests" a natural service
-shape: one process holds a warm :class:`~repro.api.Session` (one
-multiparametric solve per canonical structure, ever) and answers every
-query by exact piecewise evaluation.  This module is that shape over
+shape: one process holds a warm :class:`~repro.api.Session` (cached
+dual simplex bases per canonical structure) and answers every query by
+an exact, certified warm-started solve.  This module is that shape over
 HTTP, with zero dependencies beyond the standard library:
 
 ====================  ======  =============================================
@@ -31,9 +31,10 @@ gate, and three caches stack in front of the solver:
   execution (the planner additionally coalesces concurrent solves of
   the same canonical structure, so N distinct requests needing one new
   structure still cost one solve);
-* the planner's **plan store** (``--plan-cache DIR``, or
-  ``Session(plan_cache=...)``), so a restarted server and sibling
-  server processes start warm.
+* the planner's **structure cache**: per canonical structure, the
+  final dual simplex bases its queries reached, so a warm query costs
+  a feasibility test and an integer certificate, and a cold one a few
+  pivots from the slack basis.
 
 Every response body is a schema-versioned envelope
 (:class:`repro.api.Result` for single answers; batch/sweep wrap a
@@ -127,6 +128,15 @@ DEFAULT_RESPONSE_CACHE = 1024
 #: Requests slower than this get their span tree logged (structured
 #: JSON on the ``repro.serve`` logger); CLI flag ``--slow-request-ms``.
 DEFAULT_SLOW_REQUEST_MS = 1000.0
+
+#: ``/v1/metrics`` gauge for each of the planner's in-memory caches
+#: (:meth:`repro.plan.Planner.cache_sizes`), set at scrape time.
+_PLANNER_GAUGES = {
+    "structures": "repro_plan_structures",
+    "bases": "repro_plan_cached_bases",
+    "canon_memo": "repro_plan_canon_memo_entries",
+    "log_memo": "repro_plan_log_memo_entries",
+}
 
 #: Bodies larger than this skip response-cache/coalescing key building
 #: (hashing a huge batch on the event loop would defeat the point).
@@ -905,23 +915,19 @@ class ServiceServer:
         )
 
     def _metrics_text(self) -> str:
-        """This server's registry, the process-global one (trace stages,
-        merged worker deltas), then the planner and plan-store counters."""
-        parts = [render_registry(self.metrics), render_registry(global_registry())]
+        """This server's registry (with the planner's cache sizes as
+        gauges), the process-global one (trace stages, merged worker
+        deltas), then the planner counters."""
         planner = getattr(self.session, "planner", None)
+        if planner is not None:
+            for name, size in planner.cache_sizes().items():
+                self.metrics.gauge(_PLANNER_GAUGES[name]).set(size)
+        parts = [render_registry(self.metrics), render_registry(global_registry())]
         if planner is not None:
             parts.append(render_counters(
                 "repro_plan_cache_events_total", "event", planner.stats.as_dict(),
                 "Planner structure-cache events (hits, solves, coalesced, ...).",
             ))
-            store = getattr(planner, "shared_store", None)
-            if store is not None:
-                parts.append(render_counters(
-                    "repro_shared_store_events_total", "event",
-                    {k: v for k, v in store.stats_dict().items()
-                     if k not in ("version", "shards")},
-                    "Cross-process shared plan-store events.",
-                ))
         return "".join(parts)
 
     def _parse_body(self, raw: bytes) -> dict:

@@ -163,8 +163,8 @@ def tune_hierarchy(
     and ``repro-tile hierarchy``:
 
     1. **Plan.**  :meth:`~repro.plan.Planner.plan_hierarchy` answers
-       every level from the shared canonical structure (one cached mpLP
-       piece evaluation per level; warm across capacity stacks) and
+       every level from the shared canonical structure (one warm dual
+       simplex answer per level; warm across capacity stacks) and
        repairs the integer tiles jointly so levels nest.
     2. **Measure / tune.**  Because the executed schedule is the
        *innermost* tile walk (outer levels only group its tiles), one

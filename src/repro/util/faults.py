@@ -21,9 +21,6 @@ Injection points live next to the code they perturb:
 ``worker-crash``
     Tune-candidate pool workers (:mod:`repro.tune.evaluate`) hard-exit,
     producing a real ``BrokenProcessPool`` mid-run.
-``corrupt-cache-read``
-    :class:`repro.util.sharedstore.SharedPlanStore` sees every shard it
-    reads torn in half.
 ``native-kernel``
     :func:`repro.machine.native.get_kernel` reports the native LRU
     kernel as failed, exercising the numpy degradation path.
@@ -50,7 +47,7 @@ __all__ = [
 ENV_VAR = "REPRO_FAULTS"
 
 #: The closed catalogue of injectable faults.
-FAULTS = ("slow-lp", "worker-crash", "corrupt-cache-read", "native-kernel")
+FAULTS = ("slow-lp", "worker-crash", "native-kernel")
 
 _lock = threading.Lock()
 #: Faults armed in-process via :func:`inject` (multiset: nested arming

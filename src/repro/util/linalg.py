@@ -5,7 +5,7 @@ Used by the alpha-family vertex enumeration
 solutions of square systems formed from tight constraints, and by the
 brute-force mpLP reference in the differential tests.  Everything is
 ``fractions.Fraction``; sizes never exceed a few dozen, so cubic
-Gaussian elimination is ample.  The served mpLP enumeration
+Gaussian elimination is ample.  The mpLP enumeration
 (:mod:`repro.core.mplp`) solves its bases in batched integer
 arithmetic instead.
 """

@@ -401,8 +401,8 @@ class TestSession:
             Session(engine="batched")  # simulate always runs the batched engine
         with pytest.raises(ValueError):
             Session(line_words=0)
-        with pytest.raises(ValueError, match="plan_cache"):
-            Session(planner=Planner(), plan_cache=tmp_path)  # never silently ignored
+        with pytest.raises(TypeError):
+            Session(plan_cache=tmp_path)  # no plan store: never silently ignored
         with pytest.raises(RequestError):
             Session().analyze(matmul(4, 4, 4))  # missing cache_words
 

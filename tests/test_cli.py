@@ -8,7 +8,6 @@ import pytest
 import repro
 from repro.api import SCHEMA_VERSION, Session, SweepRequest
 from repro.cli import build_serve_parser, main
-from repro.util.sharedstore import SharedPlanStore
 
 GOLDEN = json.loads(
     (Path(__file__).parent / "golden" / "analyze_payloads.json").read_text()
@@ -169,31 +168,17 @@ class TestBatchCLI:
         lines = self._lines(capsys)
         assert [ln["payload"]["name"] for ln in lines] == ["request0", "request1"]
 
-    def test_malformed_plan_store_shard_is_not_fatal(self, capsys, tmp_path):
-        # Resilience contract: an unreadable shard reads as empty, the
-        # run proceeds, and the shard is rebuilt by the next solve.
-        store = tmp_path / "plans"
-        store.mkdir()
-        for index in range(8):
-            (store / f"shard-{index:03d}.json").write_text(
-                json.dumps({"version": 1, "entries": {"d1:0": {}}})
-            )
-        rc = main(["--problem", "matvec", "--sweep", "--sizes", "8,8", "-M", "16",
-                   "--plan-cache", str(store)])
-        assert rc == 0
-        assert self._lines(capsys)  # the sweep was served anyway
-        assert SharedPlanStore(store).keys() == ["d2:0|0.1|1"]
-
     def test_plan_cache_file_is_a_usage_error(self, capsys, tmp_path):
-        # A plans.json from the old single-file format is not a store:
-        # the run stops with a usage error and leaves the file alone.
+        # The plan store is gone: an old invocation naming one stops with
+        # a usage error (never a silently ignored option) and leaves the
+        # file alone.
         legacy = tmp_path / "plans.json"
         legacy.write_text('{"version": 1, "entries": {}}')
         with pytest.raises(SystemExit) as exc:
             main(["--problem", "matvec", "--sweep", "--sizes", "8,8", "-M", "16",
                   "--plan-cache", str(legacy)])
         assert exc.value.code == 2
-        assert "takes a directory" in capsys.readouterr().err
+        assert "unrecognized arguments: --plan-cache" in capsys.readouterr().err
         assert legacy.read_text() == '{"version": 1, "entries": {}}'
 
     def test_serve_port_conflict_is_a_clean_error(self, capsys):
@@ -260,13 +245,6 @@ class TestBatchCLI:
         assert main([*argv, "--sweep"]) == 0
         cli = [line["payload"] for line in self._lines(capsys)]
         assert cli == [result.payload for result in Session().sweep(sweep)]
-
-    def test_plan_cache_persists(self, capsys, tmp_path):
-        store = tmp_path / "plans"
-        rc = main(["--problem", "matmul", "--sizes", "32,32,32", "-M", "256",
-                   "--sweep", "--plan-cache", str(store)])
-        assert rc == 0
-        assert SharedPlanStore(store).keys() == ["d3:0.1|0.2|1.2"]
 
     def test_serve_parser_defaults(self):
         args = build_serve_parser().parse_args([])

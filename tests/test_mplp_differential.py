@@ -38,6 +38,7 @@ from repro.core.loopnest import ArrayRef, LoopNest
 from repro.core.mplp import AffinePiece, parametric_tile_exponent
 from repro.library.problems import catalog
 from repro.obs.trace import trace_scope
+from repro.util import faults
 from repro.util.linalg import SingularMatrixError, solve_square
 
 _ZERO = Fraction(0)
@@ -475,8 +476,10 @@ def test_deep_nest_matches_its_golden():
 
 def test_deep_cold_nest_honours_a_1ms_deadline():
     started = time.perf_counter()
-    result = Session().analyze(DEEP_NEST, 65536, deadline_ms=1)
-    # The full solve takes tens of ms; a chunk between checkpoints, ~3 ms.
+    # The cold solve is a few dual simplex pivots (~0.3 ms here), so
+    # slow-lp stalls each pivot's checkpoint to expire the deadline there.
+    with faults.inject("slow-lp"):
+        result = Session().analyze(DEEP_NEST, 65536, deadline_ms=1)
     assert time.perf_counter() - started < 1.0
     assert result.kind == "error"
     assert result.payload["status"] == 504

@@ -1,4 +1,4 @@
-"""Concurrent serving: coalescing, shared plan cache, golden parity.
+"""Concurrent serving: coalescing, golden parity.
 
 End-to-end tests over real HTTP:
 
@@ -6,8 +6,6 @@ End-to-end tests over real HTTP:
   structure solve (request coalescing + the planner's per-key gate);
 * followers of a coalesced request whose leader failed still get an
   answer of their own;
-* a shared plan cache directory survives a full server restart — the
-  second server answers warm with zero solves;
 * SIGTERM drains the CLI server and frees its port;
 * golden payloads are byte-identical whether a request is solved fresh
   or answered off the response cache.
@@ -79,7 +77,7 @@ class TestCoalescing:
     def test_concurrent_same_structure_costs_one_solve(self):
         # 4 identical bodies + 4 same-structure different-bound bodies,
         # fired together against a cold server: the response cache is
-        # off, so all 8 reach the planner — which must solve the mpLP
+        # off, so all 8 reach the planner — which must solve the structure
         # exactly once (coalescing, not luck: late arrivals block on the
         # leader's in-flight solve rather than re-running it).
         server, thread, base = _serve(response_cache=0)
@@ -153,61 +151,6 @@ class TestCoalescing:
                 t.join(timeout=120)
             assert sorted(results, key=str) == [200, 200, 500], results
             assert _health(base)["payload"]["server"]["coalesced"] == 2
-        finally:
-            _stop(server, thread)
-
-
-class TestSharedCacheAcrossRestarts:
-    def test_warm_restart_costs_zero_solves(self, tmp_path):
-        store_dir = tmp_path / "plans"
-        body = {"problem": "matmul", "sizes": [48, 48, 48], "cache_words": 4096}
-
-        server, thread, base = _serve(Session(plan_cache=store_dir))
-        try:
-            status, first_raw = _post_raw(base, "/v1/analyze", body)
-            assert status == 200
-            health = _health(base)["payload"]
-            assert health["planner_stats"]["structure_solves"] == 1, health
-            assert health["shared_cache"]["puts"] >= 1
-        finally:
-            _stop(server, thread)
-
-        # A brand-new process (fresh Session, fresh planner) over the
-        # same directory answers warm: the solve happened last "boot".
-        server, thread, base = _serve(Session(plan_cache=store_dir))
-        try:
-            status, second_raw = _post_raw(base, "/v1/analyze", body)
-            assert status == 200
-            assert _payload_bytes(second_raw) == _payload_bytes(first_raw)
-            health = _health(base)["payload"]
-            assert health["planner_stats"]["structure_solves"] == 0, health
-            assert health["planner_stats"]["shared_hits"] >= 1, health
-            assert health["shared_cache"]["hits"] >= 1, health
-        finally:
-            _stop(server, thread)
-
-    def test_version_bump_discards_stale_store(self, tmp_path):
-        from repro.util.sharedstore import SharedPlanStore
-
-        store_dir = tmp_path / "plans"
-        body = {"problem": "matmul", "sizes": [16, 16, 16], "cache_words": 256}
-
-        server, thread, base = _serve(Session(plan_cache=store_dir))
-        try:
-            assert _post_raw(base, "/v1/analyze", body)[0] == 200
-        finally:
-            _stop(server, thread)
-
-        # Restart under a bumped plan-cache schema: yesterday's entries
-        # are invalid, so the server re-solves instead of trusting them.
-        bumped = SharedPlanStore(store_dir, version=99)
-        server, thread, base = _serve(Session(plan_cache=bumped))
-        try:
-            assert _post_raw(base, "/v1/analyze", body)[0] == 200
-            health = _health(base)["payload"]
-            assert health["planner_stats"]["structure_solves"] == 1, health
-            assert health["planner_stats"]["shared_hits"] == 0, health
-            assert health["shared_cache"]["invalidated"] >= 1, health
         finally:
             _stop(server, thread)
 

@@ -203,6 +203,24 @@ class TestMetricsEndpoint:
                 assert after.get(key, -1.0) >= value, key
 
 
+    def test_planner_cache_sizes_are_gauges(self, service):
+        server, base = service
+        _post(base, "/v1/analyze", ANALYZE)
+        _post(base, "/v1/analyze", {"problem": "mttkrp", "sizes": [30, 20, 10, 6],
+                                    "cache_words": 512})
+        samples = _samples(_scrape(base)[1])
+        sizes = server.session.planner.cache_sizes()
+        assert sizes["structures"] >= 2 and sizes["bases"] >= sizes["structures"]
+        assert sizes["canon_memo"] >= 2 and sizes["log_memo"] >= 7
+        for key, name in (
+            ("structures", "repro_plan_structures"),
+            ("bases", "repro_plan_cached_bases"),
+            ("canon_memo", "repro_plan_canon_memo_entries"),
+            ("log_memo", "repro_plan_log_memo_entries"),
+        ):
+            assert samples[name] == sizes[key], name
+
+
 class TestTracePropagation:
     def test_header_id_is_echoed_in_meta_and_header(self, service):
         _, base = service
@@ -531,7 +549,7 @@ class TestOneRegistry:
 
         health = body["payload"]["server"]
         assert "shared_cache" not in health
-        assert body["payload"]["shared_cache"] is None
+        assert "shared_cache" not in body["payload"]
         samples = _samples(text)
         metric_routes: dict[str, float] = {}
         for key, value in samples.items():
@@ -562,7 +580,7 @@ class TestSessionAndCliSurface:
         session = Session(workers=0)
         session.analyze(AnalyzeRequest(nest=matmul(16, 16, 16), cache_words=64))
         stats = session.metrics()
-        assert sorted(stats) == ["planner_stats", "registry", "shared_cache"]
+        assert sorted(stats) == ["planner_stats", "registry"]
         summary = stats["registry"]
         assert sorted(summary) == ["counters", "gauges", "histograms"]
         assert isinstance(stats["planner_stats"], dict)
@@ -580,7 +598,7 @@ class TestSessionAndCliSurface:
     def test_cli_stats_json(self, capsys):
         assert main(["stats", "--json"]) == 0
         blob = json.loads(capsys.readouterr().out)
-        assert sorted(blob) == ["planner_stats", "registry", "shared_cache"]
+        assert sorted(blob) == ["planner_stats", "registry"]
 
     def test_cli_stats_url_scrapes_a_live_server(self, service, capsys):
         _, base = service

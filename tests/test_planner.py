@@ -1,16 +1,17 @@
 """The plan cache must be exact: every warm answer equals a cold solve.
 
-The planner's guard (primal feasibility + strong duality against the
-cached piecewise value function) is what lets it skip the simplex; the
+The planner's guard (an integer primal-dual certificate read off the
+final dual simplex basis) is what lets it answer from cached bases; the
 tests here pin that guarantee across the catalog, budgets, cache sizes,
-disguised structures, plan-store round-trips, eviction, ``Session.batch``,
-and the batch CLI.
+disguised structures, deep random structures, eviction, query history,
+``Session.batch``, and the batch CLI.
 """
 
 import json
 import random
 import sys
 import threading
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -22,8 +23,9 @@ from repro.core import lexdual
 from repro.core.bounds import communication_lower_bound, tile_exponent
 from repro.core.fraction_lp import solve_lp
 from repro.core.loopnest import ArrayRef, LoopNest
+from repro.core.mplp import parametric_tile_exponent
 from repro.core.tiling import solve_tiling
-from repro.core.verify import check_tile
+from repro.core.verify import check_dual_certificate, check_tile
 from repro.library.problems import catalog, matmul, mttkrp, nbody
 from repro.plan import Planner, TilePlan
 
@@ -135,9 +137,8 @@ class TestPlannerParity:
         assert plan.lower_bound is not None
 
     def test_astronomical_bounds_bypass_the_piece_cache(self):
-        # beta > 64 lies outside the pruned piece set's certified domain;
-        # both the tile path and the aggregate-budget lower-bound path
-        # must fall back to the exact LP and still match the direct solve.
+        # beta > 64: both the tile path and the aggregate-budget
+        # lower-bound path must still match the direct solve.
         nest = matmul(3**65, 4, 4)
         planner = Planner()
         for budget in ("per-array", "aggregate"):
@@ -149,8 +150,9 @@ class TestPlannerParity:
 
     @pytest.mark.parametrize("name", FAST_PROBLEMS, ids=str)
     def test_exponent_matches_tile_exponent(self, name):
-        # The value-only query the distributed route uses: no primal
-        # recovery, and no LP once the structure is warm.
+        # The value-only query the distributed route uses: sum(lambda)
+        # of the certified vertex, each query served by a cached basis
+        # or one dual simplex run, and one structure solve.
         nest = CATALOG[name]
         planner = Planner()
         rng = random.Random(name)
@@ -158,8 +160,9 @@ class TestPlannerParity:
             bounds = [rng.choice([1, 3, 100, 777, 4096]) for _ in nest.bounds]
             probe = nest.with_bounds(bounds)
             assert planner.exponent(probe, cache_words) == tile_exponent(probe, cache_words)
-        assert planner.stats.primal_lp_solves == 0
-        assert planner.stats.primal_map_hits == 0
+        stats = planner.stats
+        assert stats.structure_solves == 1
+        assert stats.primal_map_hits + stats.primal_lp_solves == stats.queries == 4
 
     def test_exponent_beyond_beta_cap_and_validation(self):
         nest = matmul(3**65, 4, 4)
@@ -167,16 +170,38 @@ class TestPlannerParity:
         with pytest.raises(ValueError):
             Planner().exponent(nest, 1)
 
-class TestCacheMechanics:
-    def test_every_lookup_counts_one_query_and_one_probe(self, tmp_path):
-        # plan, exponent and certificate each count one query, and each
-        # query probes the structure cache exactly once: a hit, a solve
-        # or an adoption from the shared store.
-        def balanced(stats):
-            probes = stats.structure_hits + stats.structure_solves + stats.shared_hits
-            return stats.queries == probes
+    def test_cache_size_past_the_float_range_is_a_value_error(self):
+        # The same ceiling request validation applies: a ValueError,
+        # never an OverflowError from the float tile blocks.
+        planner = Planner()
+        nest = CATALOG["matmul"]
+        for entry in (
+            lambda: planner.plan(nest, 10**400),
+            lambda: planner.plan(nest, 10**400, budget="aggregate"),
+            lambda: planner.exponent(nest, 10**400),
+            lambda: planner.certificate(nest, 10**400),
+            lambda: planner.plan_hierarchy(nest, [64, 10**400]),
+        ):
+            with pytest.raises(ValueError, match="more than a float can hold"):
+                entry()
+        assert planner.exponent(nest, 10**300) == tile_exponent(nest, 10**300)
 
-        session = Session(Planner(shared_store=tmp_path))
+    def test_session_cache_size_past_the_float_range_is_a_value_error(self):
+        session = Session()
+        with pytest.raises(ValueError, match="more than a float can hold"):
+            session.analysis(CATALOG["matmul"], 10**400)
+        with pytest.raises(ValueError, match="more than a float can hold"):
+            repro.analyze(CATALOG["matmul"], 10**400)
+        assert session.analysis(CATALOG["matmul"], 10**300).tiling.tile.blocks
+
+class TestCacheMechanics:
+    def test_every_lookup_counts_one_query_and_one_probe(self):
+        # plan, exponent and certificate each count one query, and each
+        # query probes the structure cache exactly once: a hit or a solve.
+        def balanced(stats):
+            return stats.queries == stats.structure_hits + stats.structure_solves
+
+        session = Session(Planner())
         analyze = AnalyzeRequest(nest=matmul(64, 48, 32), cache_words=256, certificate=True)
         for _ in range(2):
             assert session.analyze(analyze).ok
@@ -187,13 +212,11 @@ class TestCacheMechanics:
         ).ok
         assert session.analyze(AnalyzeRequest(nest=mttkrp(9, 8, 7, 6), cache_words=64)).ok
         assert balanced(session.stats)
-
-        restarted = Session(Planner(shared_store=tmp_path))
-        assert restarted.analyze(analyze).ok
-        restarted.planner.exponent(nbody(30, 70), 100)
-        restarted.planner.plan(mttkrp(9, 8, 7, 6), 64, "aggregate")
-        assert restarted.stats.shared_hits == 3
-        assert balanced(restarted.stats)
+        session.planner.exponent(nbody(30, 70), 100)
+        session.planner.plan(mttkrp(9, 8, 7, 6), 64, "aggregate")
+        session.planner.plan_hierarchy(matmul(64, 48, 32), [64, 4096])
+        assert session.stats.structure_solves == 3
+        assert balanced(session.stats)
 
     def test_lru_eviction_order(self):
         planner = Planner(capacity=2)
@@ -206,31 +229,6 @@ class TestCacheMechanics:
         assert planner.stats.evictions == 1
         assert repro.canonical_key(CATALOG["nbody"]) not in keys
         assert repro.canonical_key(CATALOG["matmul"]) in keys
-
-    def test_persistence_round_trip(self, tmp_path):
-        first = Planner(shared_store=tmp_path)
-        plan_a = first.plan(CATALOG["matmul"], 2**16)
-        first.plan(CATALOG["nbody"], 2**12)
-
-        # A second planner on the same store (a later run) adopts every
-        # structure on its first miss instead of re-solving it.
-        second = Planner(shared_store=tmp_path)
-        plan_b = second.plan(CATALOG["matmul"], 2**16)
-        second.plan(CATALOG["nbody"], 2**12)
-        assert second.stats.structure_solves == 0
-        assert sorted(second.cached_keys()) == sorted(first.cached_keys())
-        assert plan_b.exponent == plan_a.exponent
-        assert plan_b.tile.blocks == plan_a.tile.blocks
-        assert plan_b.cache_hit
-
-    def test_persisted_pieces_are_exact_fractions(self, tmp_path):
-        planner = Planner(shared_store=tmp_path)
-        planner.plan(CATALOG["matmul"], 2**16)
-        key = repro.canonical_key(CATALOG["matmul"])
-        (shard,) = tmp_path.glob("shard-*.json")
-        entry = json.loads(shard.read_text())["entries"][key]
-        constants = {piece["c"] for piece in entry["pieces"]}
-        assert "3/2" in constants  # the classical sqrt(M) piece, exactly
 
 
 # ---------------------------------------------------------------------------
@@ -302,16 +300,28 @@ def _mixed_queries(seed, count):
 
 
 def _no_lp_fallback(monkeypatch):
-    def fail(self, structure, betas):
-        raise AssertionError(f"primal certificate failed on {structure.form.key()}")
+    """Make a failed basis certificate fail the test instead of re-solving."""
+    certified = lexdual.Vertex.certified
 
-    monkeypatch.setattr(Planner, "_lp_solve", fail)
+    def strict(vertex, rows):
+        value = certified(vertex, rows)
+        if value is None:
+            raise AssertionError(f"basis certificate failed on rows {rows}")
+        return value
+
+    monkeypatch.setattr(lexdual.Vertex, "certified", strict)
 
 
 def _payload(plan):
     blob = plan.to_json()
     del blob["cache_hit"]
     return json.dumps(blob, sort_keys=True)
+
+
+def _certificate_payload(cert):
+    return json.dumps(
+        [str(v) for v in (*cert.lambdas, *cert.dual.zeta, *cert.dual.s, cert.dual_value)]
+    )
 
 
 class TestLexMinVertex:
@@ -396,21 +406,29 @@ class TestLexMinVertex:
             bounds[rng.randrange(depth)] = rng.randint(2**65, 2**300)
             check(_structure_nest(supports, bounds), 2)
 
-    def test_answers_do_not_depend_on_history(self, tmp_path, monkeypatch):
+    def test_answers_do_not_depend_on_history(self, monkeypatch):
+        # The plan (lambda) and the certificate (lambda, zeta and s) of
+        # each query equal a fresh planner's, in shuffled orders on one
+        # planner and after a restart that replays in another order.
         _no_lp_fallback(monkeypatch)
         queries = _mixed_queries("lex-min/replay", 200)
         fresh = [_payload(Planner().plan(*query)) for query in queries]
-        shared = Planner(shared_store=tmp_path)
+        fresh_certs = [_certificate_payload(Planner().certificate(*q[:2])) for q in queries]
+        shared = Planner()
         rng = random.Random("lex-min/orders")
         for _ in range(3):
             order = list(range(len(queries)))
             rng.shuffle(order)
             for idx in order:
-                assert _payload(shared.plan(*queries[idx])) == fresh[idx], queries[idx]
-        restarted = Planner(shared_store=tmp_path)
-        for query, expected in zip(queries, fresh):
-            assert _payload(restarted.plan(*query)) == expected, query
-        assert restarted.stats.structure_solves == 0
+                query = queries[idx]
+                assert _payload(shared.plan(*query)) == fresh[idx], query
+                cert = shared.certificate(*query[:2])
+                assert _certificate_payload(cert) == fresh_certs[idx], query
+        restarted = Planner()
+        for idx in reversed(range(len(queries))):
+            query = queries[idx]
+            assert _certificate_payload(restarted.certificate(*query[:2])) == fresh_certs[idx]
+            assert _payload(restarted.plan(*query)) == fresh[idx], query
 
     def test_every_warm_start_reaches_the_oracle_vertex(self):
         # Small-denominator betas make ties and degenerate vertices common.
@@ -426,8 +444,10 @@ class TestLexMinVertex:
                 betas = [
                     Fraction(rng.randint(0, 12), rng.choice([1, 2, 3, 4])) for _ in range(depth)
                 ]
-                lambdas, start = lexdual.lex_min_vertex(start, betas)
-                assert lambdas == _lex_min_oracle(depth, rows, betas), (rows, betas)
+                vertex = lexdual.lex_min_vertex(start, lexdual.point(betas))
+                assert vertex.lambdas() == _lex_min_oracle(depth, rows, betas), (rows, betas)
+                assert vertex.certified(rows) == sum(vertex.lambdas(), Fraction(0))
+                start = vertex.basis
 
     def test_threads_sharing_the_basis_lists_serve_fresh_answers(self, monkeypatch):
         _no_lp_fallback(monkeypatch)
@@ -468,14 +488,27 @@ class TestLexMinVertex:
         assert planner.stats.primal_map_hits == 1
         assert planner.stats.primal_lp_solves == 1
 
-    def test_a_failed_certificate_falls_back_to_the_lp(self, monkeypatch):
+    def test_a_failed_certificate_falls_back_to_the_lp(self):
+        # A cached basis whose reduced costs no longer certify its vertex
+        # (here: a corrupted objective row) is dropped, and the query is
+        # re-solved from the slack basis with the same answer.
         nest = _structure_nest(DEGENERATE_SUPPORTS, DEGENERATE_BOUNDS)
         expected = Planner().plan(nest, 2048)
         planner = Planner()
-        monkeypatch.setattr(Planner, "_verified", lambda *args: False)
+        planner.plan(nest, 2048)
+        (key,) = planner.cached_keys()
+        (basis,) = planner._structures[key]
+        bad = replace(basis, costs=(tuple(-c for c in basis.costs[0]),) + basis.costs[1:])
+        planner._structures[key][:] = [bad]
         plan = planner.plan(nest, 2048)
-        assert plan.exponent == expected.exponent
-        assert sum(plan.lambdas) == plan.exponent
+        assert _payload(plan) == _payload(expected)
+        assert bad not in planner._structures[key]
+        assert planner.stats.primal_lp_solves == 2
+
+    def test_a_certificate_failing_from_the_slack_basis_raises(self, monkeypatch):
+        monkeypatch.setattr(lexdual.Vertex, "certified", lambda vertex, rows: None)
+        with pytest.raises(RuntimeError, match="certificate failed"):
+            Planner().plan(CATALOG["matmul"], 2048)
 
 
 def _random_betas(rng, depth):
@@ -497,34 +530,172 @@ def _random_betas(rng, depth):
 
 
 class TestIntegerEvaluation:
-    """``Planner._evaluate`` against a ``Fraction`` reference: same value, same piece."""
+    """The basis certificate's value against the ``Fraction`` piecewise ``f(beta)``."""
 
     @staticmethod
     def _reference(pieces, betas):
-        values = [piece.evaluate(betas) for piece in pieces]
-        best = min(values)
-        return best, values.index(best)  # the first minimal piece wins ties
+        return min(piece.evaluate(betas) for piece in pieces)
 
     def _check(self, planner, nest, rng, queries):
-        structure, _ = planner._structure(planner.canonicalization(nest))
+        canon = planner.canonicalization(nest)
+        pieces = parametric_tile_exponent(canon.form.to_nest()).pieces
+        bases: list = []
         for _ in range(queries):
             betas = _random_betas(rng, nest.depth)
-            assert planner._evaluate(structure, betas) == self._reference(
-                structure.pvf.pieces, betas
-            ), (nest.name, betas)
+            vertex, value = planner._vertex(canon, bases, lexdual.point(betas))
+            assert value == self._reference(pieces, betas), (nest.name, betas)
+            assert sum(vertex.lambdas(), Fraction(0)) == value
+            assert vertex.certified(canon.form.rows) == value
 
-    def test_catalog_structures(self):
+    def test_catalog_structures(self, monkeypatch):
+        _no_lp_fallback(monkeypatch)
         rng = random.Random(5)
         planner = Planner()
         for name in FAST_PROBLEMS:
             self._check(planner, CATALOG[name], rng, 60)
 
-    def test_random_deep_structures(self):
+    def test_random_deep_structures(self, monkeypatch):
+        _no_lp_fallback(monkeypatch)
         rng = random.Random(6)
         planner = Planner()
         for depth in range(4, 9):
             supports = _random_supports(rng, depth, rng.randint(3, 5))
             self._check(planner, _structure_nest(supports, (2,) * depth), rng, 60)
+
+
+def _canonical_pieces(planner, nest):
+    return parametric_tile_exponent(planner.canonicalization(nest).form.to_nest()).pieces
+
+
+def _piece_zetas(canon, pieces, betas):
+    """Value and the distinct ``zeta`` of the minimal §7 pieces at canonical ``betas``."""
+    values = [piece.evaluate(betas) for piece in pieces]
+    best = min(values)
+    zetas = {canon.from_canonical(p.source_zeta) for p, v in zip(pieces, values) if v == best}
+    return best, zetas
+
+
+def _deep_structures(seed, count):
+    """Random structures of depth 4-14 with 2-6 arrays (every loop covered)."""
+    rng = random.Random(seed)
+    out = []
+    for k in range(count):
+        depth = 4 + k % 11
+        out.append(_structure_nest(_random_supports(rng, depth, rng.randint(2, 6)), (2,) * depth))
+    return out
+
+
+def _queries(rng, nest, count):
+    """(nest with bounds, cache_words), a quarter of them with some beta > 64."""
+    out = []
+    for k in range(count):
+        bounds = [round(2 ** rng.uniform(0, 14)) for _ in range(nest.depth)]
+        cache_words = rng.choice([2, 3, 16, 256, 4096, 2**16])
+        if k % 4 == 3:
+            bounds[rng.randrange(nest.depth)] = rng.randint(2**70, 2**300)
+        out.append((nest.with_bounds(bounds), cache_words))
+    return out
+
+
+class TestBasisOnlyPath:
+    """Plans, exponents and certificates from dual simplex bases alone."""
+
+    def _check(self, planner, nest, cache_words, pieces) -> bool:
+        """Check one query; True if its optimal ``zeta`` was unique and compared."""
+        canon = planner.canonicalization(nest)
+        canon_betas = canon.to_canonical(tuple(nest.betas(cache_words)))
+        value, zetas = _piece_zetas(canon, pieces, canon_betas)
+        plan = planner.plan(nest, cache_words)
+        assert plan.exponent == value == solve_tiling(nest, cache_words).exponent
+        assert sum(plan.lambdas, Fraction(0)) == value
+        assert planner.exponent(nest, cache_words) == value
+        cert = planner.certificate(nest, cache_words)
+        assert cert.lambdas == plan.lambdas
+        assert cert.dual_value == cert.primal_value == value
+        assert cert.complementary_slackness and cert.tight
+        check = check_dual_certificate(nest, cert.betas, cert.dual.zeta, cert.dual.s)
+        assert check.ok and check.certified_exponent == value
+        # Where minimal pieces tie with different zeta (exact logs make
+        # ties common), several optimal duals exist and any one is right.
+        if len(zetas) == 1:
+            assert {cert.dual.zeta} == zetas, (nest, cache_words)
+        return len(zetas) == 1
+
+    def test_catalog_matches_solve_tiling_and_the_value_function(self, monkeypatch):
+        _no_lp_fallback(monkeypatch)
+        rng = random.Random("basis-only/catalog")
+        planner = Planner()
+        compared = 0
+        for name in sorted(CATALOG):
+            nest = CATALOG[name]
+            pieces = _canonical_pieces(planner, nest)
+            compared += sum(
+                self._check(planner, probe, cache_words, pieces)
+                for probe, cache_words in _queries(rng, nest, 12)
+            )
+        assert compared > 0.6 * 12 * len(CATALOG)
+
+    def test_random_deep_structures(self, monkeypatch):
+        _no_lp_fallback(monkeypatch)
+        rng = random.Random("basis-only/deep")
+        planner = Planner(capacity=4)  # evictions re-solve structures mid-run
+        structures = _deep_structures("basis-only/deep", 22)
+        compared = 0
+        for nest in structures:
+            pieces = _canonical_pieces(planner, nest)
+            compared += sum(
+                self._check(planner, probe, cache_words, pieces)
+                for probe, cache_words in _queries(rng, nest, 4)
+            )
+        assert compared > 0.6 * 4 * len(structures)
+
+    def test_certificate_dual_is_the_slack_start_dual(self, monkeypatch):
+        # A warm certificate may read its dual off a cached basis (at a
+        # nondegenerate vertex); it must be the dual a run from the slack
+        # basis reads, on every query.
+        _no_lp_fallback(monkeypatch)
+        rng = random.Random("basis-only/slack-dual")
+        planner = Planner()
+        nests = [CATALOG[name] for name in sorted(CATALOG)]
+        nests += _deep_structures("basis-only/slack-dual", 11)
+        for nest in nests:
+            for probe, cache_words in _queries(rng, nest, 10):
+                planner.plan(probe, cache_words)  # warms the structure's bases
+                cert = planner.certificate(probe, cache_words)
+                canon = planner.canonicalization(probe)
+                at = lexdual.point(canon.to_canonical(tuple(probe.betas(cache_words))))
+                form = canon.form
+                slack = lexdual.lex_min_vertex(lexdual.slack_basis(form.depth, form.rows), at)
+                zeta, s = slack.dual(form.rows)
+                assert cert.dual.zeta == canon.from_canonical(zeta), (probe, cache_words)
+                assert cert.dual.s == tuple(
+                    s[row] for row in sorted(range(len(s)), key=canon.array_order.__getitem__)
+                )
+        assert planner.stats.primal_map_hits > planner.stats.queries / 2
+
+    def test_request_path_never_runs_the_piecewise_solve(self, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("parametric_tile_exponent on the request path")
+
+        for module in ("repro", "repro.core", "repro.core.mplp", "repro.plan.planner",
+                       "repro.plan.batch"):
+            monkeypatch.setattr(f"{module}.parametric_tile_exponent", no_solve)
+        planner = Planner()
+        nest = _deep_structures("basis-only/no-mplp", 11)[-1]  # depth 14
+        assert nest.depth == 14
+        for probe in (nest, CATALOG["tucker_core"], CATALOG["matmul"]):
+            plan = planner.plan(probe, 4096)
+            assert planner.exponent(probe, 4096) == plan.exponent
+            assert planner.certificate(probe, 4096).tight
+            assert planner.plan_hierarchy(probe, [64, 4096]).levels[1].exponent == plan.exponent
+            assert planner.plan(probe, 4096, budget="aggregate").tile.blocks
+        session = Session()
+        analyze = {"problem": "mttkrp", "sizes": [60, 50, 40, 30], "cache_words": 4096,
+                   "certificate": True}
+        assert session.analyze(AnalyzeRequest.from_json(analyze)).ok
+        assert session.distributed(
+            DistributedRequest(nest=nbody(300, 70), processors=6, memory_words=1000)
+        ).ok
 
 
 class TestPlanBatch:
@@ -585,27 +756,6 @@ class TestBatchCLI:
         assert payloads[0]["canonical_key"] == payloads[1]["canonical_key"]
         sol = solve_tiling(matmul(256, 256, 16), 4096)
         assert Fraction(payloads[0]["k_hat"]) == sol.exponent
-
-    def test_batch_mode_with_plan_cache(self, tmp_path, capsys, monkeypatch):
-        requests = [{"problem": "matvec", "cache_words": 1024},
-                    {"problem": "matmul", "cache_words": 1024}]
-        req_path = tmp_path / "requests.json"
-        req_path.write_text(json.dumps({"requests": requests}))
-        store = tmp_path / "plans"
-        argv = ["--batch", str(req_path), "--plan-cache", str(store)]
-        assert main(argv) == 0
-        capsys.readouterr()
-        assert list(store.glob("shard-*.json"))
-        # Second run adopts from the store: nothing is solved again and
-        # every query is a structure hit.
-        def no_solve(nest):
-            raise AssertionError("structure re-solved despite the plan store")
-
-        monkeypatch.setattr("repro.plan.planner.parametric_tile_exponent", no_solve)
-        assert main(argv) == 0
-        lines = [json.loads(ln) for ln in capsys.readouterr().out.splitlines()]
-        assert len(lines) == 2
-        assert all(ln["meta"]["cache_hit"] is True for ln in lines)
 
     def test_sweep_mode_problem(self, capsys):
         rc = main([
