@@ -155,21 +155,6 @@ class Vertex(NamedTuple):
             return None
         return Fraction(total, scale)
 
-    def nondegenerate(self) -> bool:
-        """Every basic variable strictly inside its bounds, and every ``beta_i > 0``.
-
-        Complementary slackness then fixes the optimal dual uniquely, so
-        every optimal basis at this ``beta`` reads the same ``(zeta, s)``.
-        """
-        basis, nums = self.basis, self.at.nums
-        det = basis.det
-        if min(nums) <= 0:
-            return False
-        for var, value in zip(basis.basic, self.values):
-            if value <= 0 or (var < basis.depth and value >= det * nums[var]):
-                return False
-        return True
-
     def dual(self, rows: Sequence[Sequence[int]]) -> tuple[tuple[Fraction, ...], ...]:
         """``(zeta, s)`` read off the basis, ``s`` with one entry per row (0 if empty)."""
         det = self.basis.det

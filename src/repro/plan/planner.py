@@ -30,8 +30,7 @@ A certificate's dual must not depend on what the planner saw before: a
 primal-degenerate vertex has several optimal bases, hence several
 duals.  :meth:`Planner.certificate` therefore serves the dual of the
 final basis of a run started at the slack basis, which depends on
-``beta`` alone; a cached basis stands in for that run only at a
-nondegenerate vertex, whose optimal dual is unique.  The piecewise closed form of paper §7
+``beta`` alone.  The piecewise closed form of paper §7
 (:func:`~repro.core.mplp.parametric_tile_exponent`) is not on this path;
 the CLI's ``--piecewise`` mode and the library still compute it.
 """
@@ -355,27 +354,24 @@ class Planner:
     ) -> _Answer:
         """The certified lex-min vertex at ``at`` from a structure's bases.
 
-        ``slack_dual`` asks for the dual a run from the slack basis reads,
-        which depends on ``beta`` alone: a cached basis serves only where
-        that dual is unique (a nondegenerate vertex), else the routine
-        pivots from the slack basis.
+        ``slack_dual`` skips the cached bases and pivots from the slack
+        basis, whose final basis's dual depends on ``beta`` alone.
         """
-        rows = canon.form.rows
-        for basis in tuple(bases):
-            vertex = lexdual.vertex_at(basis, at)
-            if vertex is None:
-                continue
-            if slack_dual and not vertex.nondegenerate():
-                break
-            value = vertex.certified(rows)
-            with self._lock:
-                if value is None:
-                    _log.warning("dropping a cached basis that failed its certificate")
-                    _drop(bases, basis)
+        if not slack_dual:
+            rows = canon.form.rows
+            for basis in tuple(bases):
+                vertex = lexdual.vertex_at(basis, at)
+                if vertex is None:
                     continue
-                _to_front(bases, basis)
-                self.stats.primal_map_hits += 1
-            return vertex, value
+                value = vertex.certified(rows)
+                with self._lock:
+                    if value is None:
+                        _log.warning("dropping a cached basis that failed its certificate")
+                        _drop(bases, basis)
+                        continue
+                    _to_front(bases, basis)
+                    self.stats.primal_map_hits += 1
+                return vertex, value
         start = None if slack_dual or not bases else bases[0]
         vertex, value = self._solve(canon, start, at)
         with self._lock:
@@ -383,11 +379,16 @@ class Planner:
         return vertex, value
 
     def _lookup(
-        self, nest: LoopNest, cache_words: int, slack_dual: bool = False
+        self,
+        nest: LoopNest,
+        cache_words: int,
+        slack_dual: bool = False,
+        answer_words: int | None = None,
     ) -> tuple[Canonicalization, list[lexdual.Basis], bool, _Answer]:
-        """One query: ``(canon, bases, cache hit, answer at cache_words)``.
+        """One query: ``(canon, bases, cache hit, answer at answer_words)``.
 
-        Counts the query and probes the structure cache once.  Exactly
+        ``answer_words`` (default ``cache_words``) is the cache size the
+        caller serves, which an aggregate budget makes smaller.  Counts the query and probes the structure cache once.  Exactly
         one thread per cold canonical key runs the slack-start solve and
         installs the structure; concurrent callers for the same key wait
         on the leader's event (respecting their own deadlines) and then
@@ -404,7 +405,7 @@ class Planner:
         with self._lock:
             self.stats.queries += 1
         canon = self.canonicalization(nest)
-        at = self._point(canon, nest.bounds, cache_words)
+        at = self._point(canon, nest.bounds, answer_words or cache_words)
         key = canon.form.key()
         waited = False
         while True:
@@ -460,10 +461,18 @@ class Planner:
                 f"aggregate budget needs cache_words >= {nest.num_arrays} "
                 f"(one word per array), got {cache_words}"
             )
-        canon, bases, hit, full = self._lookup(nest, cache_words)
-        effective_m, answer = cache_words, full
+        effective_m = cache_words
         if budget == "aggregate":
-            effective_m, answer = cache_words // nest.num_arrays, None
+            effective_m = cache_words // nest.num_arrays
+        # The first answer is at the served size, unless the bound needs
+        # the full one (or the effective cache is degenerate).
+        first = effective_m if effective_m >= 2 and not include_bound else cache_words
+        canon, bases, hit, answer = self._lookup(nest, cache_words, answer_words=first)
+        lower_bound = None
+        if include_bound:  # then ``answer`` is at the full size
+            lower_bound = lower_bound_from_k_hat(nest, cache_words, answer[1])
+        if effective_m != first:
+            answer = None
             if effective_m >= 2:
                 answer = self._vertex(canon, bases, self._point(canon, nest.bounds, effective_m))
         depth = nest.depth
@@ -478,7 +487,6 @@ class Planner:
             lambdas = canon.from_canonical(vertex.lambdas())
             fractional = tuple(pow_fraction(effective_m, lam) for lam in lambdas)
             tile = integer_repair(nest, fractional, cache_words, budget)
-        lower_bound = lower_bound_from_k_hat(nest, cache_words, full[1]) if include_bound else None
         return TilePlan(
             nest=nest,
             cache_words=cache_words,
@@ -549,9 +557,7 @@ class Planner:
         serves; the dual ``(zeta, s)`` is the one the reduced costs of the
         final basis of a run started at the slack basis give, so it
         depends on ``beta`` alone, never on the queries answered before.
-        A cached basis serves it only at a nondegenerate vertex, where
-        every optimal basis reads that same (unique) dual.  The
-        exponent is what :func:`repro.core.duality.theorem3_certificate`
+        The exponent is what :func:`repro.core.duality.theorem3_certificate`
         certifies, with strong duality checked in integers.
         """
         canon, _, _, (vertex, value) = self._lookup(nest, cache_words, slack_dual=True)
@@ -577,15 +583,24 @@ class Planner:
 
 
 def _to_front(bases: list[lexdual.Basis], basis: lexdual.Basis) -> None:
-    """Move ``basis`` (by identity) to the front of ``bases``, adding it if absent."""
+    """Move ``basis`` to the front of ``bases``, adding it if absent.
+
+    Found by identity first (a cached basis that answered); a new basis
+    equal to a cached one (a slack-start run, or two threads pivoting
+    on the same region) moves that one instead of taking a second slot.
+    """
     for k, cached in enumerate(bases):
         if cached is basis:
-            if k:
-                del bases[k]
-                bases.insert(0, basis)
+            break
+    else:
+        try:
+            k = bases.index(basis)
+        except ValueError:
+            bases.insert(0, basis)
+            del bases[_BASES_PER_STRUCTURE:]
             return
-    bases.insert(0, basis)
-    del bases[_BASES_PER_STRUCTURE:]
+    if k:
+        bases.insert(0, bases.pop(k))
 
 
 def _drop(bases: list[lexdual.Basis], basis: lexdual.Basis) -> None:

@@ -488,6 +488,26 @@ class TestLexMinVertex:
         assert planner.stats.primal_map_hits == 1
         assert planner.stats.primal_lp_solves == 1
 
+    def test_an_equal_basis_takes_no_second_slot(self):
+        # Every certificate pivots from the slack basis to a new Basis
+        # object equal to the cold solve's; the list keeps one copy.
+        planner = Planner()
+        nest = CATALOG["matmul"]
+        planner.plan(nest, 2**14)
+        for _ in range(3):
+            planner.certificate(nest, 2**14)
+        assert planner.stats.primal_lp_solves == 4
+        assert planner.cache_sizes()["bases"] == 1
+
+    def test_aggregate_plan_without_bound_solves_only_the_served_size(self):
+        planner = Planner()
+        nest = CATALOG["matmul"]
+        plan = planner.plan(nest, 3 * 2**12, budget="aggregate", include_bound=False)
+        assert plan.exponent == solve_tiling(nest, 3 * 2**12, budget="aggregate").exponent
+        assert planner.stats.primal_lp_solves == 1
+        assert planner.stats.primal_map_hits == 0
+        assert planner.cache_sizes()["bases"] == 1
+
     def test_a_failed_certificate_falls_back_to_the_lp(self):
         # A cached basis whose reduced costs no longer certify its vertex
         # (here: a corrupted objective row) is dropped, and the query is
@@ -650,9 +670,8 @@ class TestBasisOnlyPath:
         assert compared > 0.6 * 4 * len(structures)
 
     def test_certificate_dual_is_the_slack_start_dual(self, monkeypatch):
-        # A warm certificate may read its dual off a cached basis (at a
-        # nondegenerate vertex); it must be the dual a run from the slack
-        # basis reads, on every query.
+        # Warm bases must not leak into a certificate: its dual is the one
+        # a run from the slack basis reads, on every query.
         _no_lp_fallback(monkeypatch)
         rng = random.Random("basis-only/slack-dual")
         planner = Planner()
@@ -671,7 +690,6 @@ class TestBasisOnlyPath:
                 assert cert.dual.s == tuple(
                     s[row] for row in sorted(range(len(s)), key=canon.array_order.__getitem__)
                 )
-        assert planner.stats.primal_map_hits > planner.stats.queries / 2
 
     def test_request_path_never_runs_the_piecewise_solve(self, monkeypatch):
         def no_solve(*args, **kwargs):
