@@ -11,15 +11,11 @@ import math
 
 import pytest
 
-from repro.api import Session
 from repro.core.bruteforce import best_rectangle
 from repro.core.integer import multi_seed_tile
-from repro.core.tiling import TileShape
+from repro.core.tiling import TileShape, solve_tiling
 from repro.library.problems import matmul, matvec, nbody, tensor_contraction
 from repro.util.rationals import pow_fraction
-
-#: Integer-repair ablation of the simplex vertex: exact escape.
-SESSION = Session()
 
 CASES = {
     "matmul": matmul(40, 40, 40),
@@ -38,7 +34,7 @@ def test_e17_rounding_ablation(benchmark, table, name):
     def ablation():
         rows = []
         for M in SMALL_M:
-            sol = SESSION.tiling(nest, M, exact=True)
+            sol = solve_tiling(nest, M)
             floored = TileShape(
                 nest=nest,
                 blocks=tuple(
@@ -81,7 +77,7 @@ def test_e17_aggregate_gap_summary(benchmark, table):
         count = 0
         for nest in CASES.values():
             for M in SMALL_M:
-                sol = SESSION.tiling(nest, M, exact=True)
+                sol = solve_tiling(nest, M)
                 bound = pow_fraction(M, sol.exponent)
                 floored = TileShape(
                     nest=nest,

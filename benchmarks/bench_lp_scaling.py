@@ -9,13 +9,10 @@ makes unnecessary).
 
 import pytest
 
-from repro.api import Session
 from repro.core.bounds import subset_scan, tile_exponent
 from repro.core.duality import theorem3_certificate
 from repro.core.loopnest import ArrayRef, LoopNest
-
-#: Solver-scaling bench: the exact escape keeps the simplex in the loop.
-SESSION = Session()
+from repro.core.tiling import solve_tiling
 
 
 def _chain_nest(d: int) -> LoopNest:
@@ -52,7 +49,7 @@ def test_e13_pipeline_vs_depth(benchmark, d, table):
     nest = _chain_nest(d)
 
     def pipeline():
-        sol = SESSION.tiling(nest, M, exact=True)
+        sol = solve_tiling(nest, M)
         cert = theorem3_certificate(nest, M)
         return sol, cert
 
@@ -67,7 +64,7 @@ def test_e13_pipeline_vs_arrays(benchmark, n, table):
     nest = _star_nest(n)
 
     def pipeline():
-        sol = SESSION.tiling(nest, M, exact=True)
+        sol = solve_tiling(nest, M)
         cert = theorem3_certificate(nest, M)
         return sol, cert
 

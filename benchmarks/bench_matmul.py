@@ -8,7 +8,6 @@ from fractions import Fraction as F
 
 import pytest
 
-from repro.api import Session
 from repro.core.alpha_family import optimal_tile_family
 from repro.core.bounds import (
     communication_lower_bound,
@@ -17,12 +16,11 @@ from repro.core.bounds import (
 from repro.core.closed_forms import matmul_comm_lower_bound
 from repro.core.hbl import solve_hbl
 from repro.core.mplp import parametric_tile_exponent
+from repro.core.tiling import solve_tiling
 from repro.library.problems import matmul
 
-#: These are solver benchmarks: the façade's exact escape bypasses the
-#: plan cache so the timings keep measuring the rational simplex.
-SESSION = Session()
-
+#: These are solver benchmarks: ``solve_tiling`` keeps the rational
+#: simplex in the timed loop (no plan cache).
 M = 2**16
 
 
@@ -32,7 +30,7 @@ def test_e1_large_bound_lp(benchmark, table):
     sol = benchmark(lambda: solve_hbl(nest))
     assert sol.k == F(3, 2)
     assert sol.s == (F(1, 2), F(1, 2), F(1, 2))
-    tiling = SESSION.tiling(nest, M, exact=True)
+    tiling = solve_tiling(nest, M)
     assert tiling.tile.blocks == (256, 256, 256)
 
     t = table("e1_matmul_large", ["quantity", "paper", "measured"])
@@ -77,7 +75,7 @@ def test_e2_small_l3_lower_bound(benchmark, table):
 def test_e3_tiling_regimes(benchmark, table, L3_exp, expected_k):
     """E3: LP (6.3) case split at beta3 = 1/2: k = min(3/2, 1 + beta3)."""
     nest = matmul(2**12, 2**12, 2**L3_exp)
-    sol = benchmark(lambda: SESSION.tiling(nest, M, exact=True))
+    sol = benchmark(lambda: solve_tiling(nest, M))
     assert sol.exponent == expected_k
 
     t = table(f"e3_tiling_l3_2pow{L3_exp}", ["L3", "beta3", "paper k", "measured k", "tile"])

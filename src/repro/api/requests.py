@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from ..core.loopnest import LoopNest
-from ..core.tiling import BUDGETS, MAX_CACHE_WORDS
+from ..core.tiling import BUDGETS, check_cache_words
 from ..frontend.bands import split_bands
 from ..frontend.einsum import FrontendError, parse_einsum
 from ..frontend.program import Program, parse_program
@@ -78,10 +78,10 @@ def _build_request(where: str, build):
 def _check_size(name: str, value: int) -> None:
     """A cache or memory size: at least 2 words, at most ``MAX_CACHE_WORDS``."""
     _require(value >= 2, f"{name} must be >= 2, got {value}")
-    _require(
-        value <= MAX_CACHE_WORDS,
-        f"{name} is about 2**{value.bit_length() - 1}, more than a float can hold (~1.8e308)",
-    )
+    try:
+        check_cache_words(value, name)
+    except ValueError as exc:
+        raise RequestError(str(exc)) from None
 
 
 def _check_budget(budget: str) -> None:

@@ -572,18 +572,15 @@ class Session:
         nest: LoopNest,
         cache_words: int,
         budget: str = "per-array",
-        *,
-        exact: bool = False,
     ) -> TilingSolution:
         """A :func:`~repro.core.tiling.solve_tiling`-shaped answer.
 
-        The cache-aware path returns the planner's certified vertex
-        (identical exponent; possibly a different — equally optimal —
-        vertex when the LP optimum is degenerate).  ``exact=True`` is
-        the façade's uncached escape to the rational simplex itself,
-        for baselines and solver benchmarks.
+        Returns the planner's certified vertex (identical exponent;
+        possibly a different — equally optimal — vertex when the LP
+        optimum is degenerate).  A cache below 2 words, which the
+        planner refuses, goes to ``solve_tiling`` itself.
         """
-        if exact or cache_words < 2:
+        if cache_words < 2:
             return solve_tiling(nest, cache_words, budget=budget)
         return self.planner.plan(
             nest, cache_words, budget, include_bound=False

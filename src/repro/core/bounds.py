@@ -37,6 +37,7 @@ from ..util.subsets import all_subsets
 from .hbl import HBLSolution, solve_hbl, svar
 from .loopnest import LoopNest
 from .lp import LinearProgram
+from .tiling import check_cache_words
 
 __all__ = [
     "subset_exponent",
@@ -255,5 +256,6 @@ def communication_lower_bound(
     """Compute the full arbitrary-bound lower bound for ``nest``."""
     if cache_words < 1:
         raise ValueError("cache_words must be >= 1")
+    check_cache_words(cache_words)
     k_hat = tile_exponent(nest, cache_words, betas=betas)
     return lower_bound_from_k_hat(nest, cache_words, k_hat)

@@ -39,6 +39,7 @@ __all__ = [
     "TileShape",
     "TilingSolution",
     "build_tiling_lp",
+    "check_cache_words",
     "clamp_block",
     "integer_repair",
     "solve_tiling",
@@ -66,6 +67,16 @@ BUDGETS = ("per-array", "aggregate")
 #: Largest cache or memory size a query may name: the bound, tile and
 #: traffic figures are also floats, and a larger size overflows them.
 MAX_CACHE_WORDS = int(sys.float_info.max)
+
+
+def check_cache_words(value: int, name: str = "cache_words") -> None:
+    """Refuse a cache or memory size past :data:`MAX_CACHE_WORDS` with
+    ``ValueError`` (its float figures would overflow)."""
+    if value > MAX_CACHE_WORDS:
+        raise ValueError(
+            f"{name} is about 2**{value.bit_length() - 1}, "
+            "more than a float can hold (~1.8e308)"
+        )
 
 
 def lvar(i: int, nest: LoopNest) -> str:
@@ -318,6 +329,7 @@ def solve_tiling(
     """
     if cache_words < 1:
         raise ValueError("cache_words must be >= 1")
+    check_cache_words(cache_words)
     if budget not in BUDGETS:
         raise ValueError(f"unknown budget {budget!r}; expected one of {BUDGETS}")
     if budget == "aggregate" and cache_words < nest.num_arrays:

@@ -23,6 +23,7 @@ from math import prod
 
 from ..core.bounds import tile_exponent
 from ..core.loopnest import LoopNest
+from ..core.tiling import check_cache_words
 from ..util.rationals import pow_fraction
 from .grid import GridCost, grid_cost, optimal_grid
 
@@ -77,6 +78,7 @@ def _check_machine(P: int, M_local: int) -> None:
         raise ValueError("P must be >= 1")
     if M_local < 2:
         raise ValueError("M_local must be >= 2")
+    check_cache_words(M_local, "M_local")
 
 
 def _bound_from_k_hat(nest: LoopNest, P: int, M_local: int, k_hat: Fraction) -> float:

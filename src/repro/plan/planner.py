@@ -54,13 +54,12 @@ from ..core.loopnest import LoopNest
 from ..core.mplp import parametric_tile_exponent  # noqa: F401  (perfbench patches it here)
 from ..core.tiling import (
     BUDGETS,
-    MAX_CACHE_WORDS,
     TileShape,
     TilingSolution,
+    check_cache_words,
     integer_repair,
 )
 from ..obs.trace import span as _span
-from ..util import deadline as _deadline
 from ..util.rationals import log_ratio, pow_fraction
 
 __all__ = ["TilePlan", "HierarchyPlan", "Planner", "PlannerStats"]
@@ -229,8 +228,10 @@ class PlannerStats:
     """Counters exposed for benchmarks and cache-effectiveness tests.
 
     Every query probes the structure cache once: ``queries ==
-    structure_hits + structure_solves``, where a solve is the slack-start
-    dual simplex run on a structure not in the cache.
+    structure_hits + structure_solves``, where a hit finds at least one
+    cached basis and a solve finds none (a cold structure, pivoted from
+    the slack basis).  ``structure_solves - coalesced`` is the number of
+    structures installed.
     """
 
     queries: int = 0
@@ -241,7 +242,8 @@ class PlannerStats:
     #: Dual simplex runs (each pivots from a cached or the slack basis).
     primal_lp_solves: int = 0
     evictions: int = 0
-    #: Callers that waited on another thread's in-flight solve of the same key.
+    #: Solves that found their structure installed but with no basis
+    #: yet (another thread's cold solve in flight, or one that failed).
     coalesced: int = 0
 
     def as_dict(self) -> dict:
@@ -273,9 +275,6 @@ class Planner:
         # so fractional-block evaluation needs no twin here.
         self._log_memo: dict[tuple[int, int], Fraction] = {}
         self._lock = threading.RLock()
-        # In-flight structure solves, for coalescing: canonical key ->
-        # Event set when the leading solver finishes (or fails).
-        self._solving: dict[str, threading.Event] = {}
 
     # -- canonicalization (memoised per raw structure) ----------------------
 
@@ -352,7 +351,8 @@ class Planner:
         at: lexdual.Point,
         slack_dual: bool = False,
     ) -> _Answer:
-        """The certified lex-min vertex at ``at`` from a structure's bases.
+        """The certified lex-min vertex at ``at`` from a structure's bases
+        (an empty list, a cold structure, pivots from the slack basis).
 
         ``slack_dual`` skips the cached bases and pivots from the slack
         basis, whose final basis's dual depends on ``beta`` alone.
@@ -378,66 +378,37 @@ class Planner:
             _to_front(bases, vertex.basis)
         return vertex, value
 
-    def _lookup(
-        self,
-        nest: LoopNest,
-        cache_words: int,
-        slack_dual: bool = False,
-        answer_words: int | None = None,
-    ) -> tuple[Canonicalization, list[lexdual.Basis], bool, _Answer]:
-        """One query: ``(canon, bases, cache hit, answer at answer_words)``.
+    def _structure(
+        self, nest: LoopNest, cache_words: int
+    ) -> tuple[Canonicalization, list[lexdual.Basis], bool]:
+        """One query: ``(canon, bases, cache hit)``, after one probe.
 
-        ``answer_words`` (default ``cache_words``) is the cache size the
-        caller serves, which an aggregate budget makes smaller.  Counts the query and probes the structure cache once.  Exactly
-        one thread per cold canonical key runs the slack-start solve and
-        installs the structure; concurrent callers for the same key wait
-        on the leader's event (respecting their own deadlines) and then
-        answer from the cache.  If the leader fails, its event is still
-        set and one waiter takes over as the new leader.
+        A cold key is installed with an empty basis list, which
+        :meth:`_vertex` fills from the slack basis.  Threads that meet
+        the same cold key each pivot from the slack basis to the same
+        lex-min vertex; :func:`_to_front` keeps one copy of equal bases.
         """
         if cache_words < 2:
             raise ValueError("planning needs cache_words >= 2")
-        if cache_words > MAX_CACHE_WORDS:
-            raise ValueError(
-                f"cache_words is about 2**{cache_words.bit_length() - 1}, "
-                "more than a float can hold (~1.8e308)"
-            )
-        with self._lock:
-            self.stats.queries += 1
+        check_cache_words(cache_words)
         canon = self.canonicalization(nest)
-        at = self._point(canon, nest.bounds, answer_words or cache_words)
         key = canon.form.key()
-        waited = False
-        while True:
-            with _span("plan-cache-probe"), self._lock:
-                bases = self._structures.get(key)
-                if bases is not None:
-                    self._structures.move_to_end(key)
-                    self.stats.structure_hits += 1
-                    break
-                event = self._solving.get(key)
-                if event is None:
-                    self._solving[key] = event = threading.Event()
-                    break  # this thread leads the solve
-                if not waited:
-                    waited = True
-                    self.stats.coalesced += 1
-            while not event.wait(0.02):
-                _deadline.checkpoint("structure-coalesce")
-        if bases is not None:
-            return canon, bases, True, self._vertex(canon, bases, at, slack_dual)
-        try:
-            answer = self._solve(canon, None, at)
-            bases = [answer[0].basis]
-            with self._lock:
-                self.stats.structure_solves += 1
-                self._structures[key] = bases
+        with _span("plan-cache-probe"), self._lock:
+            self.stats.queries += 1
+            bases = self._structures.get(key)
+            if bases is None:
+                bases = self._structures[key] = []
                 self._evict()
-            return canon, bases, False, answer
-        finally:
-            with self._lock:
-                self._solving.pop(key, None)
-            event.set()
+            else:
+                self._structures.move_to_end(key)
+                if not bases:
+                    self.stats.coalesced += 1
+            hit = bool(bases)
+            if hit:
+                self.stats.structure_hits += 1
+            else:
+                self.stats.structure_solves += 1
+        return canon, bases, hit
 
     # -- the service entry points -------------------------------------------
 
@@ -464,17 +435,14 @@ class Planner:
         effective_m = cache_words
         if budget == "aggregate":
             effective_m = cache_words // nest.num_arrays
-        # The first answer is at the served size, unless the bound needs
-        # the full one (or the effective cache is degenerate).
-        first = effective_m if effective_m >= 2 and not include_bound else cache_words
-        canon, bases, hit, answer = self._lookup(nest, cache_words, answer_words=first)
-        lower_bound = None
-        if include_bound:  # then ``answer`` is at the full size
-            lower_bound = lower_bound_from_k_hat(nest, cache_words, answer[1])
-        if effective_m != first:
-            answer = None
-            if effective_m >= 2:
-                answer = self._vertex(canon, bases, self._point(canon, nest.bounds, effective_m))
+        canon, bases, hit = self._structure(nest, cache_words)
+        full = lower_bound = None
+        if include_bound:
+            full = self._vertex(canon, bases, self._point(canon, nest.bounds, cache_words))
+            lower_bound = lower_bound_from_k_hat(nest, cache_words, full[1])
+        answer = full if effective_m == cache_words else None
+        if answer is None and effective_m >= 2:
+            answer = self._vertex(canon, bases, self._point(canon, nest.bounds, effective_m))
         depth = nest.depth
         if answer is None:
             # Degenerate effective cache: unit tile (see solve_tiling).
@@ -506,7 +474,8 @@ class Planner:
         ``sum(lambda)`` of the certified vertex, with no integer repair
         or bound.  Equal to :func:`repro.core.bounds.tile_exponent`.
         """
-        return self._lookup(nest, cache_words)[3][1]
+        canon, bases, _ = self._structure(nest, cache_words)
+        return self._vertex(canon, bases, self._point(canon, nest.bounds, cache_words))[1]
 
     def plan_hierarchy(
         self,
@@ -560,7 +529,9 @@ class Planner:
         The exponent is what :func:`repro.core.duality.theorem3_certificate`
         certifies, with strong duality checked in integers.
         """
-        canon, _, _, (vertex, value) = self._lookup(nest, cache_words, slack_dual=True)
+        canon, bases, _ = self._structure(nest, cache_words)
+        at = self._point(canon, nest.bounds, cache_words)
+        vertex, value = self._vertex(canon, bases, at, slack_dual=True)
         rows = canon.form.rows
         canon_zeta, canon_s = vertex.dual(rows)
         betas = canon.from_canonical(vertex.at.betas)

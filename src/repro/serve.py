@@ -20,17 +20,16 @@ envelope, every other kind with one Result.
 
 Architecture (see ``docs/serving.md``): an asyncio event loop owns the
 sockets (keep-alive, ``TCP_NODELAY``) and never blocks on solver work —
-request handling runs on a bounded thread pool, a cold multiparametric
-solve runs on the handler thread behind the planner's per-structure
-gate, and three caches stack in front of the solver:
+request handling runs on a bounded thread pool, a cold structure's
+dual simplex run (from the slack basis) runs on the handler thread
+that needs it, and three caches stack in front of the solver:
 
 * a **response cache** (``response_cache > 0``): verbatim repeats of a
   single-result request are answered on the event loop by splicing the
   cached payload bytes under fresh ``meta`` — no thread handoff at all;
 * **request coalescing**: identical in-flight requests share one
-  execution (the planner additionally coalesces concurrent solves of
-  the same canonical structure, so N distinct requests needing one new
-  structure still cost one solve);
+  execution (the only in-flight dedupe: distinct requests that meet
+  one new structure together each pivot from the slack basis);
 * the planner's **structure cache**: per canonical structure, the
   final dual simplex bases its queries reached, so a warm query costs
   a feasibility test and an integer certificate, and a cold one a few
@@ -234,8 +233,8 @@ class ServiceServer:
     server into load-shedding-everything mode (503) ahead of shutdown;
     ``response_cache > 0`` turns on the full-request response cache.
     Cold structures are solved by the session's planner on the handler
-    thread; its per-structure gate makes concurrent requests for one
-    new structure share a single solve.
+    thread, with no per-structure gate: concurrent requests for one
+    new structure each run the slack-start simplex.
 
     :attr:`metrics` is this server's own :class:`MetricsRegistry` and
     the only store of its counts (requests, rejections, response-cache

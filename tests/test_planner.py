@@ -28,6 +28,8 @@ from repro.core.tiling import solve_tiling
 from repro.core.verify import check_dual_certificate, check_tile
 from repro.library.problems import catalog, matmul, mttkrp, nbody
 from repro.plan import Planner, TilePlan
+from repro.util import faults
+from repro.util.deadline import DeadlineExceeded, deadline_scope
 
 CATALOG = catalog()
 
@@ -185,6 +187,25 @@ class TestPlannerParity:
             with pytest.raises(ValueError, match="more than a float can hold"):
                 entry()
         assert planner.exponent(nest, 10**300) == tile_exponent(nest, 10**300)
+
+    @pytest.mark.parametrize(
+        "entry",
+        ["solve_tiling", "communication_lower_bound", "distributed_lower_bound", "simulate_grid"],
+    )
+    def test_library_cache_size_past_the_float_range_is_a_value_error(self, entry):
+        # The planner's ValueError, not an OverflowError from a float
+        # figure; sizes inside the float range still answer.
+        nest = matmul(64, 64, 64)
+        call = getattr(repro, entry)
+
+        def run(words):
+            if entry in ("solve_tiling", "communication_lower_bound"):
+                return call(nest, words)
+            return call(nest, 8, words)
+
+        with pytest.raises(ValueError, match="more than a float can hold"):
+            run(10**400)
+        assert run(10**300) is not None
 
     def test_session_cache_size_past_the_float_range_is_a_value_error(self):
         session = Session()
@@ -529,6 +550,74 @@ class TestLexMinVertex:
         monkeypatch.setattr(lexdual.Vertex, "certified", lambda vertex, rows: None)
         with pytest.raises(RuntimeError, match="certificate failed"):
             Planner().plan(CATALOG["matmul"], 2048)
+
+
+class TestColdStructure:
+    """Cold and warm queries share one probe; no thread waits on another."""
+
+    def test_threads_on_one_cold_key_serve_the_oracle_vertex(self, monkeypatch):
+        _no_lp_fallback(monkeypatch)
+        rng = random.Random("cold/threads")
+        nests = [
+            _structure_nest(DEGENERATE_SUPPORTS, [round(2 ** rng.uniform(1, 12)) for _ in range(6)])
+            for _ in range(8)
+        ]
+        planner = Planner()
+        barrier = threading.Barrier(len(nests))
+        answers: list = [None] * len(nests)
+
+        def worker(k: int) -> None:
+            barrier.wait()
+            try:
+                answers[k] = (planner.plan(nests[k], 2048), planner.certificate(nests[k], 2048))
+            except Exception as exc:  # reported by the assertions below
+                answers[k] = exc
+
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(len(nests))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for nest, answer in zip(nests, answers):
+            assert isinstance(answer, tuple), answer
+            plan, cert = answer
+            canon = planner.canonicalization(nest)
+            expected = _lex_min_oracle(
+                nest.depth, canon.form.rows, canon.to_canonical(tuple(nest.betas(2048)))
+            )
+            assert plan.lambdas == cert.lambdas == canon.from_canonical(expected), nest
+            assert cert.dual_value == cert.primal_value == plan.exponent
+            check = check_dual_certificate(nest, cert.betas, cert.dual.zeta, cert.dual.s)
+            assert check.ok and check.certified_exponent == plan.exponent
+        (key,) = planner.cached_keys()
+        bases = planner._structures[key]
+        assert 1 <= len(bases) <= 8
+        assert all(a != b for k, a in enumerate(bases) for b in bases[k + 1:])
+        stats = planner.stats
+        assert stats.queries == stats.structure_hits + stats.structure_solves == 16
+        assert stats.structure_solves - stats.coalesced == 1
+
+    def test_a_cold_solve_cut_by_its_deadline_leaves_the_key_answerable(self):
+        nest = _structure_nest(DEGENERATE_SUPPORTS, DEGENERATE_BOUNDS)
+        planner = Planner()
+        with faults.inject("slow-lp"), deadline_scope(1):
+            with pytest.raises(DeadlineExceeded) as info:
+                planner.plan(nest, 2048)
+        assert info.value.where == "lp-pivot"
+        (key,) = planner.cached_keys()
+        assert planner._structures[key] == []
+        plan = planner.plan(nest, 2048)
+        assert not plan.cache_hit
+        assert _payload(plan) == _payload(Planner().plan(nest, 2048))
+        stats = planner.stats
+        assert (stats.queries, stats.structure_solves, stats.coalesced) == (2, 2, 1)
+        assert planner.plan(nest, 2048).cache_hit
 
 
 def _random_betas(rng, depth):
