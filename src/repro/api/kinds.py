@@ -9,6 +9,9 @@ POST routes and its response-cacheable set from the rows, and
 Rows hold classes, not bound methods: the server looks up
 ``row.request.from_json`` and the ``Session`` entry point at request
 time, so a wrapper installed on the class later is still the one called.
+A row's request class validates itself on construction, so the request
+``from_json`` returns goes to the entry point unchecked; the server, as
+the layer that created the request's trace, is the one that stamps it.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """Typed request schema of the façade (schema v1).
 
-Six request dataclasses cover the service surface:
+Seven request dataclasses cover the service surface:
 
 * :class:`AnalyzeRequest` — bound + optimal tile (+ certificate) for
   one (nest, cache) query; the unit ``Session.batch`` fans over.
@@ -18,10 +18,11 @@ Six request dataclasses cover the service surface:
 * :class:`DistributedRequest` — processor-grid traffic vs the
   memory-dependent distributed lower bound.
 
-Each is frozen, validates itself (raising
-:class:`~repro.api.wire.RequestError` with a JSON-safe message), and
-round-trips losslessly through ``to_json``/``from_json``.  ``from_json``
-additionally accepts the nest shorthands of the batch CLI
+Each is frozen and validates itself on construction, raising
+:class:`~repro.api.wire.RequestError` with a JSON-safe message: a
+request object that exists is valid, and no later layer checks it
+again.  Each round-trips losslessly through ``to_json``/``from_json``;
+``from_json`` additionally accepts the nest shorthands of the batch CLI
 (``problem``/``sizes``, ``statement``/``bounds``) so HTTP callers never
 have to spell out supports by hand.
 """
@@ -30,12 +31,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping
 
 from ..core.loopnest import LoopNest
 from ..core.tiling import BUDGETS, check_cache_words
-from ..frontend.bands import split_bands
+from ..frontend.bands import Band, split_bands
 from ..frontend.einsum import FrontendError, parse_einsum
 from ..frontend.program import Program, parse_program
 from ..library.problems import CATALOG_BUILDERS
@@ -88,6 +89,33 @@ def _check_budget(budget: str) -> None:
     _require(budget in BUDGETS, f"unknown budget {budget!r}; expected one of {BUDGETS}")
 
 
+def _check_aggregate(budget: str, cache_words: int, nest: LoopNest, of: str = "") -> None:
+    """The aggregate budget needs at least one word per array."""
+    if budget == "aggregate":
+        _require(
+            cache_words >= nest.num_arrays,
+            f"aggregate budget needs cache_words >= {nest.num_arrays} "
+            f"(one word per array{of}), got {cache_words}",
+        )
+
+
+def _check_strategy(strategy: str) -> None:
+    _require(
+        strategy in STRATEGIES,
+        f"unknown strategy {strategy!r}; expected one of {STRATEGIES}",
+    )
+
+
+def _check_trace(nest: LoopNest, verb: str, of: str = "") -> None:
+    """Simulating ``nest`` walks its whole trace; refuse one past the guard."""
+    accesses = trace_length(nest)
+    _require(
+        accesses <= MAX_TRACE_ACCESSES,
+        f"trace of {accesses} accesses{of} exceeds the {MAX_TRACE_ACCESSES} guard; "
+        f"{verb} a smaller instance",
+    )
+
+
 @dataclass(frozen=True)
 class AnalyzeRequest:
     """One §4/§5 query: lower bound + certified optimal tile.
@@ -104,16 +132,10 @@ class AnalyzeRequest:
     budget: str = "per-array"
     certificate: bool = False
 
-    def validate(self) -> "AnalyzeRequest":
+    def __post_init__(self) -> None:
         _check_size("cache_words", self.cache_words)
         _check_budget(self.budget)
-        if self.budget == "aggregate":
-            _require(
-                self.cache_words >= self.nest.num_arrays,
-                f"aggregate budget needs cache_words >= {self.nest.num_arrays} "
-                f"(one word per array), got {self.cache_words}",
-            )
-        return self
+        _check_aggregate(self.budget, self.cache_words, self.nest)
 
     def to_json(self) -> dict:
         return {
@@ -131,7 +153,7 @@ class AnalyzeRequest:
                 cache_words=int(blob["cache_words"]),
                 budget=str(blob.get("budget", "per-array")),
                 certificate=bool(blob.get("certificate", False)),
-            ).validate()
+            )
 
         return _build_request(where, build)
 
@@ -155,7 +177,7 @@ class SimulateRequest:
     policy: str = "lru"
     budget: str = "aggregate"
 
-    def validate(self) -> "SimulateRequest":
+    def __post_init__(self) -> None:
         _check_size("cache_words", self.cache_words)
         _check_budget(self.budget)
         _require(
@@ -173,13 +195,7 @@ class SimulateRequest:
             )
             for b, bound in zip(self.tile, self.nest.bounds):
                 _require(1 <= b <= bound, f"tile blocks must satisfy 1 <= b <= L, got {self.tile}")
-        accesses = trace_length(self.nest)
-        _require(
-            accesses <= MAX_TRACE_ACCESSES,
-            f"trace of {accesses} accesses exceeds the {MAX_TRACE_ACCESSES} guard; "
-            "simulate a smaller instance",
-        )
-        return self
+        _check_trace(self.nest, "simulate")
 
     def to_json(self) -> dict:
         return {
@@ -203,7 +219,7 @@ class SimulateRequest:
                 line_words=int(line_words) if line_words is not None else None,
                 policy=str(blob.get("policy", "lru")),
                 budget=str(blob.get("budget", "aggregate")),
-            ).validate()
+            )
 
         return _build_request(where, build)
 
@@ -228,7 +244,7 @@ class SweepRequest:
     budget: str = "per-array"
     certificate: bool = False
 
-    def validate(self) -> "SweepRequest":
+    def __post_init__(self) -> None:
         _check_budget(self.budget)
         _require(bool(self.cache_sizes), "sweep needs at least one cache size")
         for m in self.cache_sizes:
@@ -248,7 +264,6 @@ class SweepRequest:
             _require(self.size_axes is None, "a statement sweep takes 'bound_axes' only")
         for axis in self._axes():
             _require(bool(axis), "every sweep axis needs at least one value")
-        return self
 
     def _axes(self) -> list[tuple[int, ...]]:
         if self.problem is not None:
@@ -261,7 +276,6 @@ class SweepRequest:
 
     def expand(self) -> list[AnalyzeRequest]:
         """Materialise the grid as ordered :class:`AnalyzeRequest` items."""
-        self.validate()
         nests: list[LoopNest] = []
         if self.problem is not None:
             builder, _ = CATALOG_BUILDERS[self.problem]
@@ -279,7 +293,7 @@ class SweepRequest:
         return [
             AnalyzeRequest(
                 nest=nest, cache_words=int(m), budget=self.budget, certificate=self.certificate
-            ).validate()
+            )
             for nest in nests
             for m in self.cache_sizes
         ]
@@ -326,7 +340,7 @@ class SweepRequest:
                 ),
                 budget=str(blob.get("budget", "per-array")),
                 certificate=bool(blob.get("certificate", False)),
-            ).validate()
+            )
 
         return _build_request(where, build)
 
@@ -352,19 +366,11 @@ class TuneRequest:
     radius: int = 1
     capacities: tuple[int, ...] | None = None
 
-    def validate(self) -> "TuneRequest":
+    def __post_init__(self) -> None:
         _check_size("cache_words", self.cache_words)
         _check_budget(self.budget)
-        if self.budget == "aggregate":
-            _require(
-                self.cache_words >= self.nest.num_arrays,
-                f"aggregate budget needs cache_words >= {self.nest.num_arrays} "
-                f"(one word per array), got {self.cache_words}",
-            )
-        _require(
-            self.strategy in STRATEGIES,
-            f"unknown strategy {self.strategy!r}; expected one of {STRATEGIES}",
-        )
+        _check_aggregate(self.budget, self.cache_words, self.nest)
+        _check_strategy(self.strategy)
         _require(
             1 <= self.max_evaluations <= MAX_TUNE_EVALUATIONS,
             f"max_evaluations must be in [1, {MAX_TUNE_EVALUATIONS}], "
@@ -376,13 +382,7 @@ class TuneRequest:
             for c in self.capacities:
                 _check_size("capacities", c)
         # Tuning simulates max_evaluations traces; guard each like simulate.
-        accesses = trace_length(self.nest)
-        _require(
-            accesses <= MAX_TRACE_ACCESSES,
-            f"trace of {accesses} accesses exceeds the {MAX_TRACE_ACCESSES} guard; "
-            "tune a smaller instance",
-        )
-        return self
+        _check_trace(self.nest, "tune")
 
     def to_json(self) -> dict:
         return {
@@ -409,7 +409,7 @@ class TuneRequest:
                 capacities=(
                     tuple(int(c) for c in capacities) if capacities is not None else None
                 ),
-            ).validate()
+            )
 
         return _build_request(where, build)
 
@@ -436,7 +436,7 @@ class HierarchyRequest:
     strategy: str = "exhaustive"
     radius: int = 1
 
-    def validate(self) -> "HierarchyRequest":
+    def __post_init__(self) -> None:
         _require(bool(self.capacities), "hierarchy needs at least one capacity")
         for c in self.capacities:
             _check_size("capacities", c)
@@ -451,10 +451,7 @@ class HierarchyRequest:
                 f"aggregate budget needs the innermost level >= "
                 f"{self.nest.num_arrays} words (one per array), got {self.capacities[0]}",
             )
-        _require(
-            self.strategy in STRATEGIES,
-            f"unknown strategy {self.strategy!r}; expected one of {STRATEGIES}",
-        )
+        _check_strategy(self.strategy)
         _require(
             0 <= self.tune_budget <= MAX_TUNE_EVALUATIONS,
             f"tune_budget must be in [0, {MAX_TUNE_EVALUATIONS}], "
@@ -462,13 +459,7 @@ class HierarchyRequest:
         )
         _require(0 <= self.radius <= 8, f"radius must be in [0, 8], got {self.radius}")
         # Every boundary is priced from a measured trace; guard its length.
-        accesses = trace_length(self.nest)
-        _require(
-            accesses <= MAX_TRACE_ACCESSES,
-            f"trace of {accesses} accesses exceeds the {MAX_TRACE_ACCESSES} guard; "
-            "analyze a smaller instance",
-        )
-        return self
+        _check_trace(self.nest, "analyze")
 
     def to_json(self) -> dict:
         return {
@@ -490,7 +481,7 @@ class HierarchyRequest:
                 tune_budget=int(blob.get("tune_budget", 0)),
                 strategy=str(blob.get("strategy", "exhaustive")),
                 radius=int(blob.get("radius", 1)),
-            ).validate()
+            )
 
         return _build_request(where, build)
 
@@ -507,6 +498,9 @@ class ProgramRequest:
     inline ``statements``/``bounds``, or an ``einsum`` string with
     ``sizes`` (expanded to its single-statement program).  Deterministic:
     the same request yields the same payload on every surface.
+
+    ``bands`` holds the program's bands as validation split them, so
+    the session plans them without splitting the program again.
     """
 
     program: Program
@@ -516,14 +510,12 @@ class ProgramRequest:
     tune_budget: int = 0
     strategy: str = "exhaustive"
     radius: int = 1
+    bands: tuple[Band, ...] = field(init=False, repr=False, compare=False)
 
-    def validate(self) -> "ProgramRequest":
+    def __post_init__(self) -> None:
         _check_size("cache_words", self.cache_words)
         _check_budget(self.budget)
-        _require(
-            self.strategy in STRATEGIES,
-            f"unknown strategy {self.strategy!r}; expected one of {STRATEGIES}",
-        )
+        _check_strategy(self.strategy)
         _require(
             0 <= self.tune_budget <= MAX_TUNE_EVALUATIONS,
             f"tune_budget must be in [0, {MAX_TUNE_EVALUATIONS}], got {self.tune_budget}",
@@ -533,22 +525,12 @@ class ProgramRequest:
             bands = split_bands(self.program)
         except FrontendError as exc:
             raise RequestError(str(exc)) from exc
+        object.__setattr__(self, "bands", bands)
         for band in bands:
-            if self.budget == "aggregate":
-                _require(
-                    self.cache_words >= band.nest.num_arrays,
-                    f"aggregate budget needs cache_words >= {band.nest.num_arrays} "
-                    f"(one word per array of {band.nest.name}), got {self.cache_words}",
-                )
+            _check_aggregate(self.budget, self.cache_words, band.nest, f" of {band.nest.name}")
             if self.tune_budget > 0:
                 # Tuning simulates traces per band; guard each like tune.
-                accesses = trace_length(band.nest)
-                _require(
-                    accesses <= MAX_TRACE_ACCESSES,
-                    f"trace of {accesses} accesses for {band.nest.name} exceeds "
-                    f"the {MAX_TRACE_ACCESSES} guard; tune a smaller instance",
-                )
-        return self
+                _check_trace(band.nest, "tune", f" for {band.nest.name}")
 
     def to_json(self) -> dict:
         return {
@@ -597,7 +579,7 @@ class ProgramRequest:
                 tune_budget=int(blob.get("tune_budget", 0)),
                 strategy=str(blob.get("strategy", "exhaustive")),
                 radius=int(blob.get("radius", 1)),
-            ).validate()
+            )
 
         return _build_request(where, build)
 
@@ -615,7 +597,7 @@ class DistributedRequest:
     memory_words: int
     grid: tuple[int, ...] | None = None
 
-    def validate(self) -> "DistributedRequest":
+    def __post_init__(self) -> None:
         _require(self.processors >= 1, f"processors must be >= 1, got {self.processors}")
         _check_size("memory_words", self.memory_words)
         if self.grid is not None:
@@ -625,7 +607,6 @@ class DistributedRequest:
             )
             for g in self.grid:
                 _require(g >= 1, f"grid factors must be >= 1, got {self.grid}")
-        return self
 
     def to_json(self) -> dict:
         return {
@@ -644,6 +625,6 @@ class DistributedRequest:
                 processors=int(blob["processors"]),
                 memory_words=int(blob["memory_words"]),
                 grid=tuple(int(g) for g in grid) if grid is not None else None,
-            ).validate()
+            )
 
         return _build_request(where, build)

@@ -30,7 +30,7 @@ from ..core.bounds import CommunicationLowerBound
 from ..core.duality import Theorem3Certificate
 from ..core.loopnest import LoopNest
 from ..core.tiling import TileShape, TilingSolution, solve_tiling
-from ..frontend.pipeline import plan_program
+from ..frontend.pipeline import ProgramReport, plan_bands
 from ..machine.model import MachineModel
 from ..obs import current_trace, global_registry, span, trace_scope
 from ..parallel.distributed import DistributedReport, simulate_grid
@@ -50,15 +50,19 @@ from .requests import (
 from .result import Result
 from .wire import RequestError
 
-__all__ = ["Session", "default_session", "reset_default_session"]
+__all__ = ["Session", "deadline_error", "default_session", "reset_default_session"]
 
 
 def _ms(seconds: float) -> float:
     return round(seconds * 1000.0, 3)
 
 
-def _deadline_error(exc: DeadlineExceeded) -> Result:
-    """The structured 504 envelope for an expired request deadline."""
+def deadline_error(exc: DeadlineExceeded) -> Result:
+    """The structured 504 envelope for an expired request deadline.
+
+    Session entry points and the HTTP server's own deadline catch both
+    build it here, so the two 504 bodies cannot drift apart.
+    """
     detail = {
         "reason": "deadline_exceeded",
         "deadline_ms": exc.budget_ms,
@@ -71,31 +75,22 @@ def _deadline_error(exc: DeadlineExceeded) -> Result:
     return Result.error(str(exc), status=504, detail=detail)
 
 
-def _stamp_trace(out, trace) -> None:
-    """Write ``meta.trace_id``/``meta.timings`` onto a Result (or each of
-    a batch's Results) in place — meta-only, so golden payloads stay
-    byte-identical with tracing enabled."""
-    timings = trace.timings_ms()
-    for result in out if isinstance(out, list) else (out,):
-        if isinstance(result, Result):
-            result.meta["trace_id"] = trace.trace_id
-            result.meta["timings"] = timings
-
-
 def _traced(method):
-    """Run a Session entry point under an ambient request trace.
+    """Run a Session entry point under a request trace.
 
-    Reuses the trace the HTTP layer installed (same id end to end) or
-    creates one for direct library/CLI calls; either way the returned
-    envelope(s) carry the stage breakdown in meta.
+    The layer that creates a trace stamps it: under an ambient trace
+    (the HTTP server's, or ``sweep``'s around ``batch``) the method just
+    runs; a direct call creates a trace and stamps the envelope(s).
     """
 
     @functools.wraps(method)
     def wrapper(self, *args, **kwargs):
+        if current_trace() is not None:
+            return method(self, *args, **kwargs)
         with trace_scope() as trace:
             out = method(self, *args, **kwargs)
             if trace is not None:
-                _stamp_trace(out, trace)
+                trace.stamp(r.meta for r in (out if isinstance(out, list) else (out,)))
             return out
 
     return wrapper
@@ -123,10 +118,8 @@ class Session:
     Parameters
     ----------
     planner:
-        An existing :class:`~repro.plan.Planner` to share; a private one
-        is created from ``plan_capacity`` when omitted.
-    plan_capacity:
-        LRU capacity (canonical structures) of the private planner.
+        An existing :class:`~repro.plan.Planner` to share; a private
+        ``Planner()`` is created when omitted.
     line_words:
         Cache-line granularity for :meth:`simulate` (1 = paper model).
     workers:
@@ -139,13 +132,12 @@ class Session:
         self,
         planner: Planner | None = None,
         *,
-        plan_capacity: int = 128,
         line_words: int = 1,
         workers: int | None = None,
     ):
         if line_words < 1:
             raise ValueError("line_words must be >= 1")
-        self.planner = planner if planner is not None else Planner(capacity=plan_capacity)
+        self.planner = planner if planner is not None else Planner()
         self.line_words = line_words
         self.workers = workers
         self._started = time.time()
@@ -197,7 +189,7 @@ class Session:
     # -- the wrapper every entry point shares -------------------------------
 
     def _answer(self, kind: str, requests: list, deadline_ms: float | None, run) -> list[Result]:
-        """Validate, run under the deadline, and wrap the answers.
+        """Run under the deadline and wrap the answers.
 
         ``run(events)`` returns one ``(payload, meta, detail)`` per
         request; each becomes a ``kind`` Result whose meta is
@@ -207,17 +199,15 @@ class Session:
         types themselves (lists, ``"p/q"`` strings), so no normalising
         walk runs here.
         An expired deadline maps every request to the structured 504
-        envelope.
+        envelope.  The requests validated themselves when they were built.
         """
         t0 = time.perf_counter()
-        for request in requests:
-            request.validate()
         events: dict = {}
         try:
             with deadline_scope(deadline_ms):
                 answers = run(events)
         except DeadlineExceeded as exc:
-            return [_deadline_error(exc) for _ in requests]
+            return [deadline_error(exc) for _ in requests]
         elapsed_ms = _ms((time.perf_counter() - t0) / max(1, len(requests)))
         degraded = _degraded_meta(events) or {}
         return [
@@ -466,8 +456,8 @@ class Session:
     ) -> Result:
         """Whole-program ingestion; the ``/v1/program`` core.
 
-        Splits the request's program into maximal perfect projective
-        bands and plans each through this session's one shared plan
+        Plans each of the maximal perfect projective bands the request
+        split on construction through this session's one shared plan
         cache, so structurally identical bands — and any single-nest
         query that came before — warm each other.  The payload is a pure
         function of the request (per-band ``cache_hit`` and the live
@@ -477,17 +467,23 @@ class Session:
 
         def run(events):
             before = self.planner.stats.as_dict()
-            report = plan_program(
-                request.program,
-                request.cache_words,
+            report = ProgramReport(
+                program=request.program,
+                cache_words=request.cache_words,
                 budget=request.budget,
-                certificate=request.certificate,
                 tune_budget=request.tune_budget,
-                strategy=request.strategy,
-                radius=request.radius,
-                planner=self.planner,
-                workers=self._workers(workers),
-                events=events,
+                bands=plan_bands(
+                    request.bands,
+                    request.cache_words,
+                    budget=request.budget,
+                    certificate=request.certificate,
+                    tune_budget=request.tune_budget,
+                    strategy=request.strategy,
+                    radius=request.radius,
+                    planner=self.planner,
+                    workers=self._workers(workers),
+                    events=events,
+                ),
             )
             after = self.planner.stats.as_dict()
             delta = {

@@ -509,7 +509,7 @@ def _run_hierarchy(argv: Sequence[str]) -> int:
             tune_budget=min(args.tune, 8) if args.smoke else args.tune,
             strategy=args.strategy,
             radius=args.radius,
-        ).validate()
+        )
 
     return _run_kind("hierarchy", args, build, deadline_ms=args.deadline_ms)
 
@@ -533,7 +533,7 @@ def _run_tune(argv: Sequence[str]) -> int:
                 if args.capacities
                 else None
             ),
-        ).validate()
+        )
 
     return _run_kind("tune", args, build, deadline_ms=args.deadline_ms)
 
@@ -609,7 +609,7 @@ def _sweep_from_args(args, parser: argparse.ArgumentParser) -> SweepRequest:
         return SweepRequest(
             cache_sizes=cache_sizes, problem=args.problem, size_axes=size_axes,
             budget=args.budget,
-        ).validate()
+        )
     if not args.statement:
         parser.error("--sweep needs a statement or --problem")
     if not args.bounds:
@@ -623,7 +623,7 @@ def _sweep_from_args(args, parser: argparse.ArgumentParser) -> SweepRequest:
     return SweepRequest(
         cache_sizes=cache_sizes, statement=args.statement,
         bound_axes=tuple(bound_axes.items()), budget=args.budget,
-    ).validate()
+    )
 
 
 def _run_stats(argv: Sequence[str]) -> int:
@@ -719,7 +719,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     cache_words = _single_cache_words(args, parser)
     try:
         nest = _nest_from_args(args, parser)
-        AnalyzeRequest(nest=nest, cache_words=cache_words, budget=args.budget).validate()
+        # Building the request validates -M and --budget.
+        AnalyzeRequest(nest=nest, cache_words=cache_words, budget=args.budget)
         analysis = _session().analysis(nest, cache_words, budget=args.budget)
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -15,6 +15,10 @@
    bands' bounds (each band's traffic is separately unavoidable —
    statements in different bands share no perfect nest).
 
+Steps 2–3 are :func:`plan_bands`.  ``Session.program`` runs it on the
+bands a :class:`~repro.api.ProgramRequest` split when it validated, so
+a served program is split once.
+
 The report payload is a pure function of the request: per-band
 ``cache_hit`` is popped into envelope meta (like every other kind), and
 the payload's ``structure_sharing`` block is *deterministic* — derived
@@ -34,7 +38,7 @@ from ..tune.tuner import tune_tile
 from .bands import Band, split_bands
 from .program import Program
 
-__all__ = ["BandPlan", "ProgramReport", "plan_program"]
+__all__ = ["BandPlan", "ProgramReport", "plan_bands", "plan_program"]
 
 
 @dataclass(frozen=True)
@@ -146,16 +150,53 @@ def plan_program(
     ``planner`` shares a session's plan cache and defaults to the
     process-wide :func:`repro.api.default_session`'s planner, so
     program bands warm (and are warmed by) every single-nest query that
-    came before.  ``tune_budget > 0`` runs
-    :func:`~repro.tune.tune_tile` per band (``strategy``/``radius``/
-    ``workers``/``events`` pass through); the analytic plan block is
-    unchanged either way — tuning only adds the ``tuned`` sub-report.
+    came before.  The bands go through :func:`plan_bands`.
     """
     if planner is None:
         from ..api.session import default_session
 
         planner = default_session().planner
-    bands = split_bands(program)
+    return ProgramReport(
+        program=program,
+        cache_words=cache_words,
+        budget=budget,
+        tune_budget=tune_budget,
+        bands=plan_bands(
+            split_bands(program),
+            cache_words,
+            budget=budget,
+            certificate=certificate,
+            tune_budget=tune_budget,
+            strategy=strategy,
+            radius=radius,
+            planner=planner,
+            workers=workers,
+            events=events,
+        ),
+    )
+
+
+def plan_bands(
+    bands: tuple[Band, ...],
+    cache_words: int,
+    *,
+    budget: str,
+    certificate: bool,
+    tune_budget: int,
+    strategy: str,
+    radius: int,
+    planner: Planner,
+    workers: int | None,
+    events: dict | None,
+) -> tuple[BandPlan, ...]:
+    """Plan, and optionally certify/tune, each of a program's ``bands``.
+
+    Every band goes through the one ``planner``.  ``tune_budget > 0``
+    runs :func:`~repro.tune.tune_tile` per band
+    (``strategy``/``radius``/``workers``/``events`` pass through); the
+    analytic plan block is unchanged either way — tuning only adds the
+    ``tuned`` sub-report.
+    """
     first_with_key: dict[str, int] = {}
     band_plans: list[BandPlan] = []
     for band in bands:
@@ -193,10 +234,4 @@ def plan_program(
                 shared_with=shared_with,
             )
         )
-    return ProgramReport(
-        program=program,
-        cache_words=cache_words,
-        budget=budget,
-        tune_budget=tune_budget,
-        bands=tuple(band_plans),
-    )
+    return tuple(band_plans)

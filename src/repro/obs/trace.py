@@ -129,6 +129,14 @@ class RequestTrace:
                        for name, seconds in sorted(self.stages.items())},
         }
 
+    def stamp(self, metas) -> None:
+        """Write ``trace_id`` and one ``timings_ms()`` reading into each
+        envelope meta dict: meta-only, so payloads stay byte-identical."""
+        timings = self.timings_ms()
+        for meta in metas:
+            meta["trace_id"] = self.trace_id
+            meta["timings"] = timings
+
     def span_tree_lines(self) -> list[str]:
         """Indented one-line-per-span rendering for the slow-request log."""
         return [
@@ -204,18 +212,17 @@ class span:
 
 
 @contextmanager
-def trace_scope(trace_id: str | None = None,
-                reuse: bool = True) -> Iterator[RequestTrace | None]:
+def trace_scope(trace_id: str | None = None) -> Iterator[RequestTrace | None]:
     """Run the block under a trace, creating one if none is ambient.
 
-    With ``reuse=True`` (the default) an already-active trace — e.g. the
-    one the HTTP server installed before calling into the Session — is
-    *reused*, not replaced, so nested surfaces share one id and one
-    stage map.  Only the scope that actually created the trace harvests
-    its stage totals into the global registry on exit.
+    An already-active trace — e.g. the one the HTTP server installed
+    before calling into the Session — is *reused*, not replaced, so
+    nested surfaces share one id and one stage map.  Only the scope
+    that actually created the trace harvests its stage totals into the
+    global registry on exit.
     """
     ambient = _current.get()
-    if reuse and ambient is not None:
+    if ambient is not None:
         yield ambient
         return
     if not _enabled:

@@ -81,6 +81,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 from .api import SCHEMA_VERSION, RequestError, Result, Session
 from .api.kinds import REQUEST_KINDS, RequestKind
+from .api.session import deadline_error
 from .core.loopnest import LoopNestError
 from .core.parser import ParseError
 from .obs import (
@@ -787,14 +788,7 @@ class ServiceServer:
                 # Normally the Session converts expiry into a 504 Result;
                 # this catches expiry in serve-layer code outside a Session
                 # entry point, so a deadline can never surface as a 500.
-                detail = {
-                    "reason": "deadline_exceeded",
-                    "deadline_ms": exc.budget_ms,
-                    "where": exc.where,
-                }
-                if trace is not None:
-                    detail["trace_id"] = trace.trace_id
-                status, body = 504, _error_body(str(exc), 504, detail)
+                status, body = _result_response(deadline_error(exc))
             except (LoopNestError, ParseError, ValueError, TypeError, KeyError) as exc:
                 status, body = 400, _error_body(str(exc) or type(exc).__name__, 400)
             except InjectedFault as exc:
@@ -830,15 +824,14 @@ class ServiceServer:
                 if token is not None:
                     deactivate(token)
             headers = None
-            if status == 429:
-                headers = {"Retry-After": "1"}
-            elif status == 503:
-                headers = {"Retry-After": "5"}
             cache_entry = None
             if trace is not None:
-                self._stamp_trace_meta(body, trace)
-                headers = dict(headers or {})
-                headers["X-Trace-Id"] = trace.trace_id
+                # Meta only, so cached payload bytes and goldens are untouched.
+                trace.stamp(
+                    [item["meta"] for item in body["results"]] if "results" in body
+                    else [body["meta"]]
+                )
+                headers = {"X-Trace-Id": trace.trace_id}
             with span("serialize"):
                 if status == 200 and route in _CACHEABLE_ROUTES:
                     # The payload is serialised once, for the response
@@ -853,23 +846,6 @@ class ServiceServer:
         if trace is not None:
             self._finish_trace(trace, route, status)
         return status, data, headers, cache_entry
-
-    @staticmethod
-    def _stamp_trace_meta(body: dict, trace: RequestTrace) -> None:
-        """``meta.trace_id`` + ``meta.timings`` on every envelope in
-        ``body`` — the single-result meta and each batch/sweep item.
-        Meta-only, so cached payload bytes and goldens are untouched."""
-        timings = trace.timings_ms()
-        results = body.get("results")
-        if isinstance(results, list):
-            for item in results:
-                if isinstance(item, dict) and isinstance(item.get("meta"), dict):
-                    item["meta"]["trace_id"] = trace.trace_id
-                    item["meta"]["timings"] = timings
-        meta = body.get("meta")
-        if isinstance(meta, dict):
-            meta["trace_id"] = trace.trace_id
-            meta["timings"] = timings
 
     def _finish_trace(self, trace: RequestTrace, route: str, status: int) -> None:
         """Harvest stage totals into the registry; log slow requests."""

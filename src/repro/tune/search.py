@@ -14,7 +14,8 @@ actually simulated — repeats are memoised and free) and shares one
 * ``"random"`` — seeded random restarts: sample feasible tiles with
   log-uniform blocks (snapped to divisors or powers of two half the
   time), batch-evaluate, keep the best.  Deterministic for a fixed
-  ``rng_seed``, so every service surface returns the same report.
+  ``rng_seed``; the service surfaces always use the default, so they
+  all return the same report.
 
 The seed tile is always evaluated first and ties break toward earlier
 candidates, so the winner's measured traffic is *never worse than the

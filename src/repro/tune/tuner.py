@@ -63,7 +63,6 @@ def tune_tile(
     include_candidates: bool = False,
     planner: Planner | None = None,
     workers: int | None = None,
-    rng_seed: int = 0,
     events: dict | None = None,
 ) -> TuneReport:
     """Simulation-in-the-loop integer tile autotuning, certified.
@@ -112,7 +111,6 @@ def tune_tile(
         radius=radius,
         capacities=caps,
         workers=workers,
-        rng_seed=rng_seed,
         events=events,
     )
 
@@ -154,7 +152,6 @@ def tune_hierarchy(
     include_candidates: bool = False,
     planner: Planner | None = None,
     workers: int | None = None,
-    rng_seed: int = 0,
     events: dict | None = None,
 ) -> HierarchyReport:
     """Plan (and optionally tune) a nested tiling for a whole hierarchy.
@@ -210,7 +207,6 @@ def tune_hierarchy(
         radius=radius,
         capacities=capacities,
         workers=workers,
-        rng_seed=rng_seed,
         ceiling=ceiling,
         objective_capacities=capacities,
         events=events,

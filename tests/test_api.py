@@ -189,28 +189,28 @@ class TestRequestRoundTrips:
     @pytest.mark.parametrize(
         "make",
         [
-            lambda: AnalyzeRequest(nest=matmul(4, 4, 4), cache_words=1).validate(),
+            lambda: AnalyzeRequest(nest=matmul(4, 4, 4), cache_words=1),
             lambda: AnalyzeRequest(nest=matmul(4, 4, 4), cache_words=2,
-                                   budget="nope").validate(),
+                                   budget="nope"),
             lambda: SimulateRequest(nest=nbody(8, 8), cache_words=4,
-                                    tile=(9, 1)).validate(),
+                                    tile=(9, 1)),
             lambda: SimulateRequest(nest=nbody(8, 8), cache_words=4,
-                                    policy="mru").validate(),
-            lambda: SweepRequest(cache_sizes=(64,)).validate(),
+                                    policy="mru"),
+            lambda: SweepRequest(cache_sizes=(64,)),
             lambda: SweepRequest(problem="matmul", statement="x",
-                                 cache_sizes=(64,)).validate(),
+                                 cache_sizes=(64,)),
             lambda: DistributedRequest(nest=matmul(4, 4, 4), processors=0,
-                                       memory_words=64).validate(),
+                                       memory_words=64),
             lambda: SweepRequest(problem="matmul", size_axes=((), (8,), (8,)),
-                                 cache_sizes=(64,)).validate(),
+                                 cache_sizes=(64,)),
             lambda: SweepRequest(problem="matmul", size_axes=((8,), (8,), (8,)),
-                                 bound_axes=(("i", (8,)),), cache_sizes=(64,)).validate(),
+                                 bound_axes=(("i", (8,)),), cache_sizes=(64,)),
             lambda: SweepRequest(statement="F[i] += P[i] * Q[j]",
                                  bound_axes=(("i", (8,)), ("j", ())),
-                                 cache_sizes=(64,)).validate(),
+                                 cache_sizes=(64,)),
             lambda: SweepRequest(statement="F[i] += P[i] * Q[j]",
                                  bound_axes=(("i", (8,)), ("j", (8,))),
-                                 size_axes=((8,),), cache_sizes=(64,)).validate(),
+                                 size_axes=((8,),), cache_sizes=(64,)),
         ],
     )
     def test_validation_rejects(self, make):

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.bounds import communication_lower_bound, tile_exponent
 from repro.core.closed_forms import (
+    contraction_comm_lower_bound,
     contraction_tile_exponent,
     matmul_comm_lower_bound,
     matmul_optimal_blocks,
@@ -72,6 +73,9 @@ class TestContraction:
         nest = tensor_contraction(left, shared, right)
         assert contraction_tile_exponent(left, shared, right, self.M) == tile_exponent(
             nest, self.M
+        )
+        assert contraction_comm_lower_bound(left, shared, right, self.M) == pytest.approx(
+            communication_lower_bound(nest, self.M).hbl_words, rel=1e-9
         )
 
     def test_paper_statement_form(self):

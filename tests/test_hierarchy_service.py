@@ -62,25 +62,25 @@ class TestHierarchyRequest:
     def test_validation(self):
         nest = nbody(8, 8)
         with pytest.raises(RequestError, match="at least one"):
-            HierarchyRequest(nest=nest, capacities=()).validate()
+            HierarchyRequest(nest=nest, capacities=())
         with pytest.raises(RequestError, match=">= 2"):
-            HierarchyRequest(nest=nest, capacities=(1, 8)).validate()
+            HierarchyRequest(nest=nest, capacities=(1, 8))
         with pytest.raises(RequestError, match="strictly increasing"):
-            HierarchyRequest(nest=nest, capacities=(64, 8)).validate()
+            HierarchyRequest(nest=nest, capacities=(64, 8))
         with pytest.raises(RequestError, match="strategy"):
-            HierarchyRequest(nest=nest, capacities=(8, 64), strategy="magic").validate()
+            HierarchyRequest(nest=nest, capacities=(8, 64), strategy="magic")
         with pytest.raises(RequestError, match="tune_budget"):
-            HierarchyRequest(nest=nest, capacities=(8, 64), tune_budget=-1).validate()
+            HierarchyRequest(nest=nest, capacities=(8, 64), tune_budget=-1)
         with pytest.raises(RequestError, match="radius"):
-            HierarchyRequest(nest=nest, capacities=(8, 64), radius=99).validate()
+            HierarchyRequest(nest=nest, capacities=(8, 64), radius=99)
         with pytest.raises(RequestError, match="aggregate"):
-            HierarchyRequest(nest=nest, capacities=(2, 64)).validate()
+            HierarchyRequest(nest=nest, capacities=(2, 64))
 
     def test_trace_guard(self):
         with pytest.raises(RequestError, match="guard"):
             HierarchyRequest(
                 nest=matmul(4096, 4096, 4096), capacities=(1024, 65536)
-            ).validate()
+            )
 
 
 @pytest.fixture()

@@ -5,7 +5,10 @@ route answers POST and refuses GET with 405, the response-cacheable
 routes are exactly the single-Result kinds, the Session entry point and
 the request class's own ``from_json`` sit in their class ``__dict__``
 (where the layer-timing launcher ``perfbench/traced_serve.py`` patches
-them), and the exact meta key set of a clean answer.
+them), and the exact meta key set of a clean answer.  Every request
+class validates on construction with the message ``from_json`` gives,
+and a served request validates, splits its program and stamps its
+trace once each.
 """
 
 import json
@@ -20,10 +23,26 @@ from pathlib import Path
 import pytest
 
 from repro import serve
-from repro.api import Result, Session
+from repro.api import (
+    AnalyzeRequest,
+    DistributedRequest,
+    HierarchyRequest,
+    ProgramRequest,
+    RequestError,
+    Result,
+    Session,
+    SimulateRequest,
+    SweepRequest,
+    TuneRequest,
+)
 from repro.api.kinds import REQUEST_KINDS
 from repro.api.result import KINDS
 from repro.api.wire import json_safe
+from repro.frontend import pipeline
+from repro.frontend.program import parse_program
+from repro.library.problems import matmul, nbody
+from repro.obs import RequestTrace
+from repro.util.deadline import DeadlineExceeded
 
 _ANALYZE = {"problem": "matmul", "sizes": [16, 16, 16], "cache_words": 64}
 
@@ -62,6 +81,9 @@ CASES = {
 TRACE_KEYS = {"trace_id", "timings"}
 
 ROWS = {row.kind: row for row in REQUEST_KINDS}
+
+#: The module the request classes (and their ``split_bands``) live in.
+api_requests = sys.modules[ProgramRequest.__module__]
 
 
 @pytest.fixture(scope="module")
@@ -226,3 +248,149 @@ def test_traced_serve_install_finds_every_patched_name():
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+#: Request class -> (constructor fields of an invalid request, the same
+#: request as a wire body, the RequestError message both must give).
+_INVALID = {
+    AnalyzeRequest: (
+        {"nest": matmul(4, 4, 4), "cache_words": 1},
+        {"problem": "matmul", "sizes": [4, 4, 4], "cache_words": 1},
+        "cache_words must be >= 2, got 1",
+    ),
+    SimulateRequest: (
+        {"nest": nbody(8, 8), "cache_words": 4, "policy": "mru"},
+        {"problem": "nbody", "sizes": [8, 8], "cache_words": 4, "policy": "mru"},
+        "unknown policy 'mru'; expected ('lru', 'belady', 'direct')",
+    ),
+    SweepRequest: (
+        {"cache_sizes": (64,)},
+        {"cache_sizes": [64]},
+        "sweep needs exactly one of 'problem' or 'statement'",
+    ),
+    TuneRequest: (
+        {"nest": nbody(8, 8), "cache_words": 16, "strategy": "magic"},
+        {"problem": "nbody", "sizes": [8, 8], "cache_words": 16, "strategy": "magic"},
+        "unknown strategy 'magic'; expected one of ('exhaustive', 'coordinate', 'random')",
+    ),
+    HierarchyRequest: (
+        {"nest": nbody(8, 8), "capacities": (64, 8)},
+        {"problem": "nbody", "sizes": [8, 8], "capacities": [64, 8]},
+        "capacities must be strictly increasing, got [64, 8]",
+    ),
+    ProgramRequest: (
+        {
+            "program": parse_program(["C[i,j] += A[i,k] * B[k,j]"],
+                                     {"i": 4, "k": 4, "j": 4}, name="einsum"),
+            "cache_words": 2,
+            "budget": "aggregate",
+        },
+        {"einsum": "ik,kj->ij", "sizes": {"i": 4, "k": 4, "j": 4}, "cache_words": 2,
+         "budget": "aggregate"},
+        "aggregate budget needs cache_words >= 3 (one word per array of einsum.band0), got 2",
+    ),
+    DistributedRequest: (
+        {"nest": matmul(4, 4, 4), "processors": 0, "memory_words": 64},
+        {"problem": "matmul", "sizes": [4, 4, 4], "processors": 0, "memory_words": 64},
+        "processors must be >= 1, got 0",
+    ),
+}
+
+
+def test_invalid_table_covers_every_request_class():
+    assert set(_INVALID) == {row.request for row in REQUEST_KINDS}
+
+
+@pytest.mark.parametrize("cls", sorted(_INVALID, key=lambda cls: cls.__name__))
+def test_construction_validates_like_from_json(cls):
+    """A request object that exists is valid: building an invalid one
+    raises the very message its wire body gets from ``from_json``."""
+    fields, body, message = _INVALID[cls]
+    with pytest.raises(RequestError) as wire:
+        cls.from_json(body)
+    with pytest.raises(RequestError) as built:
+        cls(**fields)
+    assert str(wire.value) == str(built.value) == message
+
+
+def _count_calls(monkeypatch, owner, name: str) -> list:
+    """Wrap ``owner.name`` so each call appends to the returned list."""
+    calls: list = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+class TestOnePassPerRequest:
+    """Each stage of a served request runs once: validation at
+    construction, the program split, and the trace stamp."""
+
+    def test_program_splits_and_validates_once(self, service, monkeypatch):
+        validations = _count_calls(monkeypatch, ProgramRequest, "__post_init__")
+        splits = _count_calls(monkeypatch, api_requests, "split_bands")
+        splits_again = _count_calls(monkeypatch, pipeline, "split_bands")
+        status, body = _call(service, "/v1/program", CASES["program"][0])
+        assert status == 200, body
+        assert len(validations) == 1
+        assert len(splits) + len(splits_again) == 1
+
+    def test_analyze_validates_and_stamps_once(self, service, monkeypatch):
+        validations = _count_calls(monkeypatch, AnalyzeRequest, "__post_init__")
+        stamps = _count_calls(monkeypatch, RequestTrace, "timings_ms")
+        status, body = _call(service, "/v1/analyze", _ANALYZE)
+        assert status == 200, body
+        assert "timings" in body["meta"]
+        assert len(validations) == 1
+        assert len(stamps) == 1
+
+    def test_sweep_validates_each_point_once(self, service, monkeypatch):
+        sweeps = _count_calls(monkeypatch, SweepRequest, "__post_init__")
+        points = _count_calls(monkeypatch, AnalyzeRequest, "__post_init__")
+        body = {"problem": "matmul", "size_axes": [[16, 24], [16], [16]],
+                "cache_sizes": [64, 128]}
+        status, answer = _call(service, "/v1/sweep", body)
+        assert status == 200, answer
+        assert answer["count"] == 4
+        assert len(sweeps) == 1
+        assert len(points) == 4
+
+    def test_library_sweep_stamps_its_own_trace_once(self, monkeypatch):
+        stamps = _count_calls(monkeypatch, RequestTrace, "timings_ms")
+        request = SweepRequest(problem="matmul", size_axes=((16, 24), (16,), (16,)),
+                               cache_sizes=(64,))
+        results = Session(workers=0).sweep(request)
+        assert len(stamps) == 1
+        assert len({r.meta["trace_id"] for r in results}) == 1
+
+
+def test_serve_layer_deadline_uses_the_session_504_envelope(service, monkeypatch):
+    """Expiry outside a Session entry point answers with the envelope
+    ``deadline_error`` builds, trace id included."""
+    expired = DeadlineExceeded(5.0, "request-parse")
+
+    def parse(cls, blob, where="analyze request"):
+        raise expired
+
+    monkeypatch.setattr(AnalyzeRequest, "from_json", classmethod(parse))
+    request = urllib.request.Request(
+        service + "/v1/analyze",
+        data=json.dumps(_ANALYZE).encode(),
+        headers={"Content-Type": "application/json", "X-Trace-Id": "late-parse"},
+        method="POST",
+    )
+    with pytest.raises(urllib.error.HTTPError) as raised:
+        urllib.request.urlopen(request, timeout=60)
+    assert raised.value.code == 504
+    body = json.load(raised.value)
+    assert body["payload"] == {
+        "error": "deadline of 5 ms exceeded at request-parse",
+        "status": 504,
+        "detail": {"reason": "deadline_exceeded", "deadline_ms": 5.0,
+                   "where": "request-parse", "trace_id": "late-parse"},
+    }
+    assert raised.value.headers.get("Retry-After") is None

@@ -328,15 +328,15 @@ class TestTuneSurfaces:
     def test_tune_request_validation(self):
         nest = nbody(8, 8)
         with pytest.raises(RequestError):
-            TuneRequest(nest=nest, cache_words=1).validate()
+            TuneRequest(nest=nest, cache_words=1)
         with pytest.raises(RequestError):
-            TuneRequest(nest=nest, cache_words=16, strategy="magic").validate()
+            TuneRequest(nest=nest, cache_words=16, strategy="magic")
         with pytest.raises(RequestError):
-            TuneRequest(nest=nest, cache_words=16, max_evaluations=0).validate()
+            TuneRequest(nest=nest, cache_words=16, max_evaluations=0)
         with pytest.raises(RequestError):
-            TuneRequest(nest=nest, cache_words=16, radius=99).validate()
+            TuneRequest(nest=nest, cache_words=16, radius=99)
         with pytest.raises(RequestError):
-            TuneRequest(nest=nest, cache_words=16, capacities=(1,)).validate()
+            TuneRequest(nest=nest, cache_words=16, capacities=(1,))
 
     def test_http_validation_error_is_structured_400(self, service):
         data = json.dumps({"problem": "nbody", "cache_words": 16, "strategy": "magic"})
